@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race vet fmt-check ci perfbench-check test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
 
 all: build
 
@@ -21,8 +21,13 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # ci is the tier-1 gate: formatting, static checks, build, and the full test
-# suite under the race detector.
-ci: fmt-check vet build race
+# suite under the race detector, plus the benchmark harness check.
+ci: fmt-check vet build race perfbench-check
+
+# perfbench-check vets, builds and tests the benchmark harness, which is its
+# own module (perfbench/go.mod) and so is skipped by the root ./... patterns.
+perfbench-check:
+	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) build -o /dev/null ./... && GOWORK=off GOPROXY=off $(GO) test -count=1 ./...
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every
@@ -32,8 +37,9 @@ test-fault:
 	$(GO) test -race -count=1 -run 'Failover|Liveness|IdleTimeout|Standby|BroadcastsStop|AbortReleases|SendFailureTeardown' ./internal/dist/
 
 # bench is the scheduler smoke gate (also run by ci.sh): one iteration of the
-# figure 9/10 sweeps and the dispatch benchmark, enough to catch crashes or
-# stalls in the dispatch fast path without a full measurement run.
+# figure 9/10 sweeps, the analyzer shard sweep and the dispatch benchmark,
+# enough to catch crashes or stalls in the dispatch fast path without a full
+# measurement run.
 bench:
 	$(GO) test -bench 'Fig9|Fig10|Dispatch|Analyzer' -benchtime=1x -count=1 .
 
@@ -45,8 +51,9 @@ bench-mem:
 	$(GO) test -bench 'FieldStoreSlab|WireEncodeFrame|FieldFetchView' -benchmem -benchtime=100x -count=1 -run xxx .
 
 # bench-transport is the distributed-transport smoke gate (also run by
-# ci.sh): one framed and one gob-per-store distributed MJPEG encode over TCP
-# loopback, enough to catch protocol or framing breaks on the store path.
+# ci.sh): one framed distributed MJPEG encode over TCP loopback plus the
+# scatter-gather frame encode, enough to catch protocol or framing breaks on
+# the store path.
 bench-transport:
 	$(GO) test -bench 'TransportMJPEG|FrameEncodeScatter' -benchtime=1x -count=1 -run xxx .
 
@@ -70,7 +77,7 @@ bench-lang:
 bench-full:
 	$(GO) test -bench=. -benchmem .
 
-# bench-json runs the scheduler A/B benchmarks and emits BENCH_scheduler.json.
+# bench-json runs the scheduler benchmarks and emits BENCH_scheduler.json.
 bench-json:
 	scripts/bench_json.sh
 

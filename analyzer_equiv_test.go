@@ -1,132 +1,60 @@
 package p2g
 
-// Analyzer equivalence stress: the sharded dependency analyzer must be
-// observationally identical to the serial reference analyzer. Each case runs
-// the same program under both Options.Analyzer settings with randomized (but
-// seeded) worker counts, granularities, and shard counts and compares final
-// field contents and per-kernel instance counts. Run under -race, this
-// doubles as a concurrency stress of the per-shard mailboxes, cross-shard
-// completion routing, and the two-phase quiescence protocol.
+// Analyzer equivalence stress: the sharded dependency analyzer must reproduce
+// the independent sequential oracles (see equiv_test.go) at every shard
+// count, one shard — the paper's single analyzer thread — included. Each case
+// sweeps the shard count with seeded worker counts and granularities. Run
+// under -race, this doubles as a concurrency stress of the per-shard
+// mailboxes, cross-shard completion routing, and the two-phase quiescence
+// protocol.
 
 import (
-	"io"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"repro/internal/runtime"
-	"repro/internal/video"
 	"repro/internal/workloads"
 )
 
-// runBothAnalyzers executes prog() under the serial and the sharded analyzer
-// with the given options and returns the two (node, report) pairs.
-func runBothAnalyzers(t *testing.T, prog func() *Program, opts runtime.Options, shards int) (ref, sh *runtime.Node, refRep, shRep *runtime.Report) {
-	t.Helper()
-	run := func(kind runtime.AnalyzerKind) (*runtime.Node, *runtime.Report) {
-		o := opts
-		o.Analyzer = kind
-		o.AnalyzerShards = shards
-		o.Output = io.Discard
-		n, err := runtime.NewNode(prog(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := n.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rep.Stalled) != 0 {
-			t.Fatalf("analyzer %d stalled: %v", kind, rep.Stalled)
-		}
-		return n, rep
-	}
-	ref, refRep = run(runtime.AnalyzerSerial)
-	sh, shRep = run(runtime.AnalyzerSharded)
-	return
-}
+// equivShards is the shard sweep: one shard (the serial analyzer thread of
+// the paper) up to more shards than any test machine has cores.
+var equivShards = []int{1, 2, 3, 6}
 
 func TestAnalyzerEquivalenceMulSum(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for round := 0; round < 4; round++ {
+	for _, shards := range equivShards {
 		workers := 1 + rng.Intn(8)
 		gran := 1 + rng.Intn(3)
-		shards := 1 + rng.Intn(6)
 		maxAge := 10 + rng.Intn(11)
-		opts := runtime.Options{
-			Workers:     workers,
-			MaxAge:      maxAge,
-			Granularity: map[string]int{"mul2": gran},
-		}
-		ref, sh, refRep, shRep := runBothAnalyzers(t, MulSum, opts, shards)
-		for _, f := range []string{"m_data", "p_data"} {
-			want := fieldFingerprint(t, ref, f, maxAge)
-			got := fieldFingerprint(t, sh, f, maxAge)
-			if want != got {
-				t.Fatalf("round %d (workers=%d gran=%d shards=%d): field %s diverged:\nserial:\n%s\nsharded:\n%s",
-					round, workers, gran, shards, f, want, got)
-			}
-		}
-		if want, got := reportFingerprint(refRep), reportFingerprint(shRep); want != got {
-			t.Fatalf("round %d: instance counts diverged:\nserial:\n%s\nsharded:\n%s", round, want, got)
-		}
-		if shRep.AnalyzerShards != shards {
-			t.Fatalf("round %d: report shows %d shards, want %d", round, shRep.AnalyzerShards, shards)
-		}
+		n, rep := runChecked(t, MulSum, runtime.Options{
+			Workers:        workers,
+			MaxAge:         maxAge,
+			Granularity:    map[string]int{"mul2": gran},
+			AnalyzerShards: shards,
+		})
+		checkMulSumOracle(t, fmt.Sprintf("shards=%d (workers=%d gran=%d)", shards, workers, gran), n, rep, maxAge)
 	}
 }
 
 func TestAnalyzerEquivalenceMJPEG(t *testing.T) {
-	const frames = 2
 	rng := rand.New(rand.NewSource(22))
-	for round := 0; round < 2; round++ {
+	for _, shards := range equivShards {
 		workers := 1 + rng.Intn(8)
-		shards := 2 + rng.Intn(5)
-		prog := func() *Program {
-			return workloads.MJPEG(workloads.MJPEGConfig{
-				Source:  video.NewSynthetic(32, 32, frames, 7),
-				FastDCT: true,
-			})
-		}
-		ref, sh, refRep, shRep := runBothAnalyzers(t, prog, runtime.Options{Workers: workers}, shards)
-		want, err := workloads.MJPEGStream(ref, frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := workloads.MJPEGStream(sh, frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != string(got) {
-			t.Fatalf("round %d (workers=%d shards=%d): encoded streams differ (%d vs %d bytes)",
-				round, workers, shards, len(want), len(got))
-		}
-		if w, g := reportFingerprint(refRep), reportFingerprint(shRep); w != g {
-			t.Fatalf("round %d: instance counts diverged:\nserial:\n%s\nsharded:\n%s", round, w, g)
-		}
+		n, rep := runChecked(t, mjpegEquivProgram, runtime.Options{Workers: workers, AnalyzerShards: shards})
+		checkMJPEGOracle(t, fmt.Sprintf("shards=%d (workers=%d)", shards, workers), n, rep)
 	}
 }
 
 func TestAnalyzerEquivalenceKMeans(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for round := 0; round < 2; round++ {
+	for _, shards := range equivShards {
 		workers := 1 + rng.Intn(8)
 		gran := 1 + rng.Intn(16)
-		shards := 2 + rng.Intn(5)
-		cfg := workloads.KMeansConfig{N: 120, K: 8, Iter: 3, Dim: 2, Seed: 7}
-		opts := workloads.KMeansOptions(cfg, workers)
+		opts := workloads.KMeansOptions(kmeansEquivConfig, workers)
 		opts.Granularity = map[string]int{"assign": gran}
-		prog := func() *Program { return workloads.KMeans(cfg) }
-		ref, sh, refRep, shRep := runBothAnalyzers(t, prog, opts, shards)
-		for _, f := range []string{"centroids", "membership"} {
-			want := fieldFingerprint(t, ref, f, cfg.Iter)
-			got := fieldFingerprint(t, sh, f, cfg.Iter)
-			if want != got {
-				t.Fatalf("round %d (workers=%d gran=%d shards=%d): field %s diverged",
-					round, workers, gran, shards, f)
-			}
-		}
-		if w, g := reportFingerprint(refRep), reportFingerprint(shRep); w != g {
-			t.Fatalf("round %d: instance counts diverged:\nserial:\n%s\nsharded:\n%s", round, w, g)
-		}
+		opts.AnalyzerShards = shards
+		n, rep := runChecked(t, func() *Program { return workloads.KMeans(kmeansEquivConfig) }, opts)
+		checkKMeansOracle(t, fmt.Sprintf("shards=%d (workers=%d gran=%d)", shards, workers, gran), n, rep)
 	}
 }

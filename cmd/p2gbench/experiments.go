@@ -54,10 +54,7 @@ func kmeansCfg() workloads.KMeansConfig {
 func runInstrumented(prog *core.Program, opts runtime.Options) (*runtime.Report, error) {
 	opts.Metrics = benchReg
 	opts.Tracer = benchTracer
-	opts.Scheduler = schedulerKind()
-	opts.Analyzer = analyzerKind()
 	opts.AnalyzerShards = *shardsFlag
-	opts.FetchCopy = *copyFlag
 	node, err := runtime.NewNode(prog, opts)
 	if err != nil {
 		return nil, err

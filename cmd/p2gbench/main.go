@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/lang"
 	"repro/internal/obs"
-	runtime2 "repro/internal/runtime"
 )
 
 var (
@@ -35,10 +34,7 @@ var (
 	tracePath   = flag.String("trace", "", "write a Chrome trace_event JSON of every instrumented run's kernel instances")
 	attrFlag    = flag.Bool("attr", false, "print per-stage latency attribution (ready-wait, queue-wait, fetch, exec, store, idle) after every instrumented run")
 	metricsAddr = flag.String("metrics-addr", "", "serve /metricz, /statusz and /tracez on this address while experiments run, e.g. :9090")
-	schedFlag   = flag.String("scheduler", "stealing", "ready-queue implementation: stealing (work-stealing deques) or global (reference queue)")
-	anFlag      = flag.String("analyzer", "sharded", "dependency-analyzer implementation: sharded (per-shard event channels) or serial (reference)")
-	shardsFlag  = flag.Int("shards", 0, "analyzer shard count for -analyzer=sharded (0: auto from GOMAXPROCS)")
-	copyFlag    = flag.Bool("fetchcopy", false, "disable zero-copy fetch views and snapshot every fetch (reference path)")
+	shardsFlag  = flag.Int("shards", 0, "dependency-analyzer shard count; 1 is the paper's single analyzer thread (0: auto from GOMAXPROCS)")
 	backendFlag = flag.String("backend", "bytecode", "kernel-language back-end for .p2g experiments: bytecode (register VM) or closure (reference interpreter)")
 )
 
@@ -48,22 +44,6 @@ func langOptions() lang.Options {
 		return lang.Options{Backend: lang.BackendClosure}
 	}
 	return lang.Options{Backend: lang.BackendBytecode}
-}
-
-// schedulerKind maps the -scheduler flag onto Options.Scheduler.
-func schedulerKind() runtime2.SchedulerKind {
-	if *schedFlag == "global" {
-		return runtime2.SchedGlobal
-	}
-	return runtime2.SchedStealing
-}
-
-// analyzerKind maps the -analyzer flag onto Options.Analyzer.
-func analyzerKind() runtime2.AnalyzerKind {
-	if *anFlag == "serial" {
-		return runtime2.AnalyzerSerial
-	}
-	return runtime2.AnalyzerSharded
 }
 
 // benchReg and benchTracer instrument every experiment's instrumented runs
@@ -84,14 +64,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiments")
 	flag.Parse()
 
-	if *schedFlag != "stealing" && *schedFlag != "global" {
-		fmt.Fprintf(os.Stderr, "p2gbench: unknown -scheduler %q (want stealing or global)\n", *schedFlag)
-		os.Exit(2)
-	}
-	if *anFlag != "sharded" && *anFlag != "serial" {
-		fmt.Fprintf(os.Stderr, "p2gbench: unknown -analyzer %q (want sharded or serial)\n", *anFlag)
-		os.Exit(2)
-	}
 	if *backendFlag != "bytecode" && *backendFlag != "closure" {
 		fmt.Fprintf(os.Stderr, "p2gbench: unknown -backend %q (want bytecode or closure)\n", *backendFlag)
 		os.Exit(2)

@@ -1,71 +1,176 @@
 package p2g
 
-// Scheduler equivalence stress: the work-stealing scheduler must be
-// observationally identical to the reference global queue. Each case runs
-// the same program under both Options.Scheduler settings with randomized
-// (but seeded) worker counts and granularities and compares final field
-// contents and per-kernel instance counts. Run under -race, this doubles as
-// a concurrency stress of the stealing deques and batched event flushes.
+// Scheduler equivalence stress: the work-stealing scheduler must reproduce
+// the independent sequential oracles under any worker count and data
+// granularity. Each case runs a program with randomized (but seeded) worker
+// counts and granularities and checks every field generation against a
+// sequential computation (the §V mul/sum recurrence, the standalone MJPEG
+// encoder, sequential K-means) and every kernel's instance count against its
+// closed form. Run under -race, this doubles as a concurrency stress of the
+// stealing deques and batched event flushes.
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 	"testing"
 
+	"repro/internal/field"
+	"repro/internal/kmeans"
+	"repro/internal/mjpeg"
 	"repro/internal/runtime"
 	"repro/internal/video"
 	"repro/internal/workloads"
 )
 
-// fieldFingerprint renders field generations 0..maxAge deterministically.
-func fieldFingerprint(t *testing.T, n *runtime.Node, name string, maxAge int) string {
+// runChecked executes prog() with the given options and fails the test on a
+// run error or stalled kernel-ages.
+func runChecked(t *testing.T, prog func() *Program, opts runtime.Options) (*runtime.Node, *runtime.Report) {
 	t.Helper()
-	var sb strings.Builder
-	for age := 0; age <= maxAge; age++ {
-		arr, err := n.Snapshot(name, age)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&sb, "%s(%d)=%s\n", name, age, arr.String())
+	opts.Output = io.Discard
+	n, err := runtime.NewNode(prog(), opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sb.String()
+	rep, err := n.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Stalled) != 0 {
+		t.Fatalf("stalled: %v", rep.Stalled)
+	}
+	return n, rep
 }
 
-// reportFingerprint renders per-kernel instance and store counts.
-func reportFingerprint(rep *runtime.Report) string {
-	var sb strings.Builder
-	for _, k := range rep.Kernels {
-		fmt.Fprintf(&sb, "%s: %d insts, %d stores\n", k.Name, k.Instances, k.StoreOps)
+// checkInstances compares per-kernel instance counts with their closed form.
+func checkInstances(t *testing.T, label string, rep *runtime.Report, want map[string]int) {
+	t.Helper()
+	for name, w := range want {
+		if got := rep.Kernel(name).Instances; got != int64(w) {
+			t.Errorf("%s: %s ran %d instances, want %d", label, name, got, w)
+		}
 	}
-	return sb.String()
 }
 
-// runBoth executes build() under both schedulers with the given options and
-// returns the two (node, report) pairs for comparison.
-func runBoth(t *testing.T, prog func() *Program, opts runtime.Options) (ref, steal *runtime.Node, refRep, stealRep *runtime.Report) {
+// checkMulSumOracle checks every m_data/p_data generation against the §V
+// recurrence (m(0) = 10..14, p(a) = 2·m(a), m(a+1) = p(a)+5) and the
+// instance counts against their closed form.
+func checkMulSumOracle(t *testing.T, label string, n *runtime.Node, rep *runtime.Report, maxAge int) {
 	t.Helper()
-	run := func(kind runtime.SchedulerKind) (*runtime.Node, *runtime.Report) {
-		o := opts
-		o.Scheduler = kind
-		o.Output = io.Discard
-		n, err := runtime.NewNode(prog(), o)
-		if err != nil {
-			t.Fatal(err)
+	m := []int32{10, 11, 12, 13, 14}
+	for a := 0; a <= maxAge; a++ {
+		p := make([]int32, len(m))
+		for i, v := range m {
+			p[i] = 2 * v
 		}
-		rep, err := n.Run()
-		if err != nil {
-			t.Fatal(err)
+		for _, fv := range []struct {
+			name string
+			want []int32
+		}{{"m_data", m}, {"p_data", p}} {
+			got, err := n.Snapshot(fv.name, a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(field.ArrayFromInt32(fv.want)) {
+				t.Fatalf("%s: %s(%d) = %v, want %v", label, fv.name, a, got, fv.want)
+			}
 		}
-		if len(rep.Stalled) != 0 {
-			t.Fatalf("scheduler %d stalled: %v", kind, rep.Stalled)
+		next := make([]int32, len(p))
+		for i, v := range p {
+			next[i] = v + 5
 		}
-		return n, rep
+		m = next
 	}
-	ref, refRep = run(runtime.SchedGlobal)
-	steal, stealRep = run(runtime.SchedStealing)
-	return
+	ages := maxAge + 1
+	checkInstances(t, label, rep, map[string]int{"init": 1, "mul2": 5 * ages, "plus5": 5 * ages, "print": ages})
+}
+
+// mjpegEquivFrames and the 32x32 geometry keep the MJPEG stress small: 4x4
+// luma blocks and 2x2 blocks per chroma plane per frame.
+const mjpegEquivFrames = 2
+
+func mjpegEquivProgram() *Program {
+	return workloads.MJPEG(workloads.MJPEGConfig{
+		Source:  video.NewSynthetic(32, 32, mjpegEquivFrames, 7),
+		FastDCT: true,
+	})
+}
+
+// checkMJPEGOracle compares the dataflow bitstream with the standalone
+// single-threaded encoder on the identical source, and the instance counts
+// with the frame geometry (the source runs once more to observe end of
+// stream, as does the writer).
+func checkMJPEGOracle(t *testing.T, label string, n *runtime.Node, rep *runtime.Report) {
+	t.Helper()
+	var want bytes.Buffer
+	enc := &mjpeg.Encoder{FastDCT: true}
+	if _, err := enc.EncodeStream(video.NewSynthetic(32, 32, mjpegEquivFrames, 7), &want); err != nil {
+		t.Fatal(err)
+	}
+	got, err := workloads.MJPEGStream(n, mjpegEquivFrames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("%s: bitstream differs from the standalone encoder (%d vs %d bytes)", label, len(got), want.Len())
+	}
+	const f = mjpegEquivFrames
+	checkInstances(t, label, rep, map[string]int{
+		"read_splityuv": f + 1, "vlc_write": f + 1,
+		"yDCT": f * 16, "uDCT": f * 4, "vDCT": f * 4,
+	})
+}
+
+var kmeansEquivConfig = workloads.KMeansConfig{N: 120, K: 8, Iter: 3, Dim: 2, Seed: 7}
+
+// checkKMeansOracle compares every centroids and membership generation with
+// sequential K-means stopped after the matching iteration count, and the
+// instance counts with Table III's closed form.
+func checkKMeansOracle(t *testing.T, label string, n *runtime.Node, rep *runtime.Report) {
+	t.Helper()
+	cfg := kmeansEquivConfig
+	points := kmeans.Generate(cfg.N, cfg.Dim, cfg.K, cfg.Seed)
+	for a := 0; a <= cfg.Iter; a++ {
+		var want []kmeans.Point
+		if a == 0 {
+			want = kmeans.InitialCentroids(points, cfg.K)
+		} else {
+			want = kmeans.Sequential(points, cfg.K, a).Centroids
+		}
+		got, err := workloads.KMeansCentroids(n, a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: centroids(%d) has %d clusters, want %d", label, a, len(got), len(want))
+		}
+		for c := range want {
+			if kmeans.SqDist(got[c], want[c]) != 0 {
+				t.Fatalf("%s: centroids(%d)[%d] = %v, sequential %v", label, a, c, got[c], want[c])
+			}
+		}
+	}
+	for a := 0; a < cfg.Iter; a++ {
+		// membership(a) assigns against centroids(a): the membership the
+		// sequential run holds after iteration a.
+		want := kmeans.Sequential(points, cfg.K, a+1).Membership
+		got, err := n.Snapshot("membership", a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Extent(0) != len(want) {
+			t.Fatalf("%s: membership(%d) has %d points, want %d", label, a, got.Extent(0), len(want))
+		}
+		for i, w := range want {
+			if g := int(got.At(i).Int32()); g != w {
+				t.Fatalf("%s: membership(%d)[%d] = %d, sequential %d", label, a, i, g, w)
+			}
+		}
+	}
+	checkInstances(t, label, rep, map[string]int{
+		"init": 1, "assign": cfg.N * cfg.Iter, "refine": cfg.K * cfg.Iter, "print": cfg.Iter + 1,
+	})
 }
 
 func TestSchedulerEquivalenceMulSum(t *testing.T) {
@@ -74,53 +179,21 @@ func TestSchedulerEquivalenceMulSum(t *testing.T) {
 		workers := 1 + rng.Intn(8)
 		gran := 1 + rng.Intn(3)
 		maxAge := 10 + rng.Intn(11)
-		opts := runtime.Options{
+		n, rep := runChecked(t, MulSum, runtime.Options{
 			Workers:     workers,
 			MaxAge:      maxAge,
 			Granularity: map[string]int{"mul2": gran},
-		}
-		ref, steal, refRep, stealRep := runBoth(t, MulSum, opts)
-		for _, f := range []string{"m_data", "p_data"} {
-			want := fieldFingerprint(t, ref, f, maxAge)
-			got := fieldFingerprint(t, steal, f, maxAge)
-			if want != got {
-				t.Fatalf("round %d (workers=%d gran=%d): field %s diverged:\nref:\n%s\nstealing:\n%s",
-					round, workers, gran, f, want, got)
-			}
-		}
-		if want, got := reportFingerprint(refRep), reportFingerprint(stealRep); want != got {
-			t.Fatalf("round %d: instance counts diverged:\nref:\n%s\nstealing:\n%s", round, want, got)
-		}
+		})
+		checkMulSumOracle(t, fmt.Sprintf("round %d (workers=%d gran=%d)", round, workers, gran), n, rep, maxAge)
 	}
 }
 
 func TestSchedulerEquivalenceMJPEG(t *testing.T) {
-	const frames = 2
 	rng := rand.New(rand.NewSource(2))
 	for round := 0; round < 2; round++ {
 		workers := 1 + rng.Intn(8)
-		prog := func() *Program {
-			return workloads.MJPEG(workloads.MJPEGConfig{
-				Source:  video.NewSynthetic(32, 32, frames, 7),
-				FastDCT: true,
-			})
-		}
-		ref, steal, refRep, stealRep := runBoth(t, prog, runtime.Options{Workers: workers})
-		want, err := workloads.MJPEGStream(ref, frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := workloads.MJPEGStream(steal, frames)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(want) != string(got) {
-			t.Fatalf("round %d (workers=%d): encoded streams differ (%d vs %d bytes)",
-				round, workers, len(want), len(got))
-		}
-		if w, g := reportFingerprint(refRep), reportFingerprint(stealRep); w != g {
-			t.Fatalf("round %d: instance counts diverged:\nref:\n%s\nstealing:\n%s", round, w, g)
-		}
+		n, rep := runChecked(t, mjpegEquivProgram, runtime.Options{Workers: workers})
+		checkMJPEGOracle(t, fmt.Sprintf("round %d (workers=%d)", round, workers), n, rep)
 	}
 }
 
@@ -129,20 +202,9 @@ func TestSchedulerEquivalenceKMeans(t *testing.T) {
 	for round := 0; round < 2; round++ {
 		workers := 1 + rng.Intn(8)
 		gran := 1 + rng.Intn(16)
-		cfg := workloads.KMeansConfig{N: 120, K: 8, Iter: 3, Dim: 2, Seed: 7}
-		opts := workloads.KMeansOptions(cfg, workers)
+		opts := workloads.KMeansOptions(kmeansEquivConfig, workers)
 		opts.Granularity = map[string]int{"assign": gran}
-		prog := func() *Program { return workloads.KMeans(cfg) }
-		ref, steal, refRep, stealRep := runBoth(t, prog, opts)
-		for _, f := range []string{"centroids", "membership"} {
-			want := fieldFingerprint(t, ref, f, cfg.Iter)
-			got := fieldFingerprint(t, steal, f, cfg.Iter)
-			if want != got {
-				t.Fatalf("round %d (workers=%d gran=%d): field %s diverged", round, workers, gran, f)
-			}
-		}
-		if w, g := reportFingerprint(refRep), reportFingerprint(stealRep); w != g {
-			t.Fatalf("round %d: instance counts diverged:\nref:\n%s\nstealing:\n%s", round, w, g)
-		}
+		n, rep := runChecked(t, func() *Program { return workloads.KMeans(kmeansEquivConfig) }, opts)
+		checkKMeansOracle(t, fmt.Sprintf("round %d (workers=%d gran=%d)", round, workers, gran), n, rep)
 	}
 }

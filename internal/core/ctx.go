@@ -289,8 +289,10 @@ func (c *Ctx) Stop() { c.stop = true }
 func (c *Ctx) Stopped() bool { return c.stop }
 
 // Printf writes formatted output to the program's output stream (the kernel
-// language's cout). Instances run in parallel; each Printf call is a single
-// Write, so lines from different instances interleave but do not tear.
+// language's cout). Instances run in parallel: the runtime hands each
+// instance a buffer and writes it out in one piece when the body returns, so
+// output from different instances never interleaves; a context built with
+// NewCtx writes each call directly.
 func (c *Ctx) Printf(format string, args ...any) {
 	if c.out != nil {
 		fmt.Fprintf(c.out, format, args...)

@@ -342,7 +342,7 @@ func TestLivenessDuringStopPhase(t *testing.T) {
 				// completion, giving the shadow a quiescent state to match
 				// the idle heartbeats below.
 				arr := field.ArrayFromInt32([]int32{0, 1, 2, 3})
-				wc.Send(&Msg{Kind: MStore, Store: runtime.StoreNotice{Field: "data", Age: 0, Whole: true, Value: field.ArrayVal(arr)}})
+				wc.Send(storeFrameMsg(runtime.StoreNotice{Field: "data", Age: 0, Whole: true, Value: field.ArrayVal(arr)}))
 				wc.Send(&Msg{Kind: MDone, Kernel: "src", Age: 0})
 			case MPing:
 				wc.Send(&Msg{Kind: MStatus, Idle: true, Sent: 2, Received: 0})
@@ -659,12 +659,12 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 							started = time.Now()
 							for a := 0; a < gens; a++ {
 								arr := field.ArrayFromInt32([]int32{int32(a), int32(a * 2)})
-								if err := conn.Send(&Msg{Kind: MStore, Store: runtime.StoreNotice{Field: "data", Age: a, Whole: true, Value: field.ArrayVal(arr)}}); err != nil {
+								if err := conn.Send(storeFrameMsg(runtime.StoreNotice{Field: "data", Age: a, Whole: true, Value: field.ArrayVal(arr)})); err != nil {
 									return err
 								}
 							}
 						}
-					case MStore, MStoreFrame, MDone:
+					case MStoreFrame, MDone:
 						received++
 					case MReassign:
 						received = 0 // rebuilt from scratch, like a real worker

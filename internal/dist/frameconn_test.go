@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"net"
+	goruntime "runtime"
 	"testing"
 
 	"repro/internal/field"
@@ -170,5 +171,62 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 	}
 	if m.Age != 9 || !bytes.Equal(m.Frame, want) {
 		t.Fatalf("forwarded frame corrupted: age=%d len=%d", m.Age, len(m.Frame))
+	}
+}
+
+// TestTCPRecvLyingFrameLen: a peer announcing a 1 GiB raw frame and then
+// sending a few bytes must cost Recv memory in proportion to what arrived,
+// not the announced length, and Recv must fail once the peer closes.
+func TestTCPRecvLyingFrameLen(t *testing.T) {
+	cli, srv := tcpPair(t)
+	if err := cli.Send(&Msg{Kind: MStoreFrame, Field: "pixels", FrameLen: 1 << 30}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.(*tcpConn).nc.Write([]byte("short")); err != nil {
+		t.Fatal(err)
+	}
+	cli.Close()
+	var before, after goruntime.MemStats
+	goruntime.ReadMemStats(&before)
+	_, err := srv.Recv()
+	goruntime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("Recv accepted a truncated raw frame")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("Recv allocated %d bytes for a 5-byte frame body", grew)
+	}
+}
+
+// TestTCPRecvMultiChunkFrame: a raw frame longer than one receive chunk
+// arrives intact, and a frame of at most one chunk takes exactly one
+// allocation.
+func TestTCPRecvMultiChunkFrame(t *testing.T) {
+	cli, srv := tcpPair(t)
+	want := make([]byte, 2*recvChunk+recvChunk/2)
+	for i := range want {
+		want[i] = byte(i * 7)
+	}
+	go cli.(FrameConn).SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 1}, net.Buffers{want})
+	m, err := srv.Recv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Age != 1 || !bytes.Equal(m.Frame, want) {
+		t.Fatalf("multi-chunk frame corrupted: age=%d len=%d", m.Age, len(m.Frame))
+	}
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	small := want[:recvChunk]
+	rd := bytes.NewReader(nil)
+	allocs := testing.AllocsPerRun(10, func() {
+		rd.Reset(small)
+		if _, err := readRawFrame(rd, len(small)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("one-chunk frame took %.0f allocations, want 1", allocs)
 	}
 }

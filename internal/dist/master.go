@@ -846,19 +846,12 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			// write-once), but its control messages describe a worker that
 			// no longer participates.
 			switch m.Kind {
-			case MStore, MStoreFrame, MDone:
+			case MStoreFrame, MDone:
 			default:
 				continue
 			}
 		}
 		switch m.Kind {
-		case MStore:
-			if err := shadow.InjectStore(m.Store); err != nil {
-				return fail(fmt.Errorf("dist: shadow store: %w", err))
-			}
-			if err := forward(in.from, fieldSubs[m.Store.Field], m); err != nil {
-				return fail(err)
-			}
 		case MStoreFrame:
 			// The envelope's Field/Age mirror the frame header, so
 			// routing needs no decode; the frame bytes are forwarded
@@ -918,6 +911,8 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			cfg.View.workerDone(in.from, m.Report)
 		case MError:
 			return fail(fmt.Errorf("dist: worker %s failed: %s", ids[in.from], m.Err))
+		default:
+			return fail(fmt.Errorf("dist: unexpected %v from worker %s", m.Kind, ids[in.from]))
 		}
 	}
 

@@ -16,7 +16,7 @@ const (
 	MRegister    MsgKind = iota // worker → master: here I am, this is my capacity
 	MAssign                     // master → worker: your kernel partition
 	MStart                      // master → worker: begin execution
-	MStore                      // worker ↔ master: a store event (forwarded to subscribers)
+	MStore                      // retired per-store message; kept so later kinds keep their wire values
 	MDone                       // worker ↔ master: a kernel-age completed
 	MPing                       // master → worker: report status
 	MStatus                     // worker → master: idle state and event counters
@@ -98,9 +98,6 @@ type Msg struct {
 	// generations and re-executed kernels are idempotent (see
 	// runtime.Options.MergeStores).
 	Failover bool
-
-	// MStore
-	Store runtime.StoreNotice
 
 	// MStoreFrame: a whole-generation batch of store notices encoded by
 	// runtime.StoreFrame. Field and Age mirror the frame header so the

@@ -134,7 +134,7 @@ func TestBrokerReadersExit(t *testing.T) {
 		// master's shadow inject; the rest overfill the 1024-entry conn
 		// buffer plus the 1024-entry inbox so the reader must block.
 		for i := 0; i < 3000; i++ {
-			if wc.Send(&Msg{Kind: MStore, Store: runtime.StoreNotice{Field: "nope", Value: field.Int32Val(1)}}) != nil {
+			if wc.Send(storeFrameMsg(runtime.StoreNotice{Field: "nope", Value: field.Int32Val(1)})) != nil {
 				break
 			}
 		}
@@ -371,7 +371,7 @@ func TestStoreBatcherFlush(t *testing.T) {
 
 // distMJPEGOverTCP runs the MJPEG pipeline across two TCP workers and
 // returns the shadow's concatenated bitstream.
-func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
+func distMJPEGOverTCP(t *testing.T, frames int) []byte {
 	t.Helper()
 	mkProg := func() *core.Program {
 		return workloads.MJPEG(workloads.MJPEGConfig{
@@ -397,10 +397,9 @@ func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
 				return
 			}
 			if _, err := RunWorker(WorkerConfig{
-				NodeID:        fmt.Sprintf("tcp%d", i),
-				Cores:         2,
-				Prog:          mkProg(),
-				DisableFrames: disableFrames,
+				NodeID: fmt.Sprintf("tcp%d", i),
+				Cores:  2,
+				Prog:   mkProg(),
 			}, conn); err != nil {
 				errs <- fmt.Errorf("worker %d: %w", i, err)
 			}
@@ -437,9 +436,9 @@ func distMJPEGOverTCP(t *testing.T, frames int, disableFrames bool) []byte {
 	return stream
 }
 
-// TestDistributedMJPEGOverTCPBitIdentical: the framed transport (and its gob
-// A/B baseline) must produce a bitstream identical to the single-node
-// encoder, over real TCP with gob envelopes.
+// TestDistributedMJPEGOverTCPBitIdentical: the framed transport must produce
+// a bitstream identical to the single-node encoder, over real TCP with gob
+// envelopes.
 func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
 	workloads.RegisterPayloads()
 	const frames = 3
@@ -448,19 +447,61 @@ func TestDistributedMJPEGOverTCPBitIdentical(t *testing.T) {
 	if _, err := enc.EncodeStream(video.NewSynthetic(32, 32, frames, 4), &baseline); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name          string
-		disableFrames bool
-	}{
-		{"frames", false},
-		{"gob-per-store", true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			stream := distMJPEGOverTCP(t, frames, tc.disableFrames)
-			if !bytes.Equal(stream, baseline.Bytes()) {
-				t.Errorf("distributed bitstream (%d bytes) differs from baseline (%d bytes)",
-					len(stream), baseline.Len())
-			}
-		})
+	t.Run("frames", func(t *testing.T) {
+		stream := distMJPEGOverTCP(t, frames)
+		if !bytes.Equal(stream, baseline.Bytes()) {
+			t.Errorf("distributed bitstream (%d bytes) differs from baseline (%d bytes)",
+				len(stream), baseline.Len())
+		}
+	})
+}
+
+// storeFrameMsg encodes one store notice as the single-entry MStoreFrame a
+// worker's batcher sends for its generation (scripted workers use it).
+func storeFrameMsg(sn runtime.StoreNotice) *Msg {
+	var f runtime.StoreFrame
+	f.Reset(sn.Field, sn.Age)
+	if err := f.Add(sn); err != nil {
+		panic(err)
 	}
+	return &Msg{Kind: MStoreFrame, Field: sn.Field, Age: sn.Age, Frame: f.Bytes()}
+}
+
+// TestMasterRejectsUnexpectedKind: the broker loop used to ignore message
+// kinds it has no case for. With per-store MStore messages retired, a stray
+// one would then lose its store silently; the master must instead fail the
+// run naming the kind and the worker, mirroring the worker's own check.
+func TestMasterRejectsUnexpectedKind(t *testing.T) {
+	mc, wc := InprocPipe()
+	workerDone := make(chan struct{})
+	go func() {
+		defer close(workerDone)
+		if err := wc.Send(&Msg{Kind: MRegister, NodeID: "w0", Cores: 1, Speed: 1}); err != nil {
+			return
+		}
+		for {
+			m, err := wc.Recv()
+			if err != nil {
+				return
+			}
+			if m.Kind == MStart {
+				wc.Send(&Msg{Kind: MStore})
+			}
+		}
+	}()
+	done := make(chan error, 1)
+	go func() {
+		_, err := RunMaster(MasterConfig{Prog: workloads.MulSum(), Method: sched.Greedy}, []Conn{mc})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "dist: unexpected MStore from worker w0") {
+			t.Fatalf("master error = %v, want unexpected MStore from worker w0", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("master ignored an unexpected MStore")
+	}
+	wc.Close()
+	<-workerDone
 }

@@ -16,6 +16,7 @@ package dist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/gob"
 	"fmt"
 	"io"
@@ -296,9 +297,32 @@ func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
 	return nil
 }
 
-// maxRecvFrameLen bounds the raw frame allocation on receive, so a corrupt
-// or malicious FrameLen cannot demand unbounded memory.
+// maxRecvFrameLen bounds the raw frame length accepted on receive, so a
+// corrupt or malicious FrameLen cannot demand unbounded memory.
 const maxRecvFrameLen = 1 << 30
+
+// recvChunk is the largest raw frame Recv allocates up front. Longer frames
+// grow as their bytes arrive, so a peer that announces more than it sends
+// costs memory in proportion to what it actually sent.
+const recvChunk = 1 << 20
+
+// readRawFrame reads an n-byte raw frame. A frame of one chunk or less takes
+// exactly one allocation of its exact size (the cluster hot path).
+func readRawFrame(r io.Reader, n int) ([]byte, error) {
+	if n <= recvChunk {
+		raw := make([]byte, n)
+		if _, err := io.ReadFull(r, raw); err != nil {
+			return nil, err
+		}
+		return raw, nil
+	}
+	var buf bytes.Buffer
+	buf.Grow(recvChunk)
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
 
 func (c *tcpConn) Recv() (*Msg, error) {
 	if d := c.idle.Load(); d > 0 {
@@ -315,8 +339,8 @@ func (c *tcpConn) Recv() (*Msg, error) {
 		if d := c.idle.Load(); d > 0 {
 			c.nc.SetReadDeadline(time.Now().Add(time.Duration(d)))
 		}
-		raw := make([]byte, m.FrameLen)
-		if _, err := io.ReadFull(c.br, raw); err != nil {
+		raw, err := readRawFrame(c.br, m.FrameLen)
+		if err != nil {
 			return nil, fmt.Errorf("dist: reading raw store frame: %w", c.idleErr("recv", err))
 		}
 		m.Frame = raw

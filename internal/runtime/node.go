@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -8,7 +9,6 @@ import (
 	goruntime "runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -20,9 +20,9 @@ import (
 // Options configures an execution node.
 type Options struct {
 	// Workers is the number of worker goroutines dispatching kernel
-	// instances; the dependency analyzer always runs in its own goroutine
-	// on top of these, mirroring the paper's dedicated analyzer thread.
-	// Zero selects 1.
+	// instances; the dependency analyzer's shards run in their own
+	// goroutines on top of these, mirroring the paper's dedicated analyzer
+	// thread. Zero selects 1.
 	Workers int
 	// MaxAge bounds execution: no kernel instance with age > MaxAge is
 	// dispatched. Zero or negative means unbounded. Programs with no
@@ -48,29 +48,17 @@ type Options struct {
 	Output io.Writer
 	// Clock drives deadline timers; nil selects the real clock.
 	Clock deadline.Clock
-	// EventBuffer sizes the analyzer's event channel (in event batches;
-	// workers flush store/done events in batches of up to 64, so the
-	// default of 1024 batches buffers ~65k events). Zero selects 1024.
+	// EventBuffer sizes the analyzer's event channels (in event batches,
+	// split evenly across the shards; workers flush store/done events in
+	// batches of up to 64, so the default of 1024 batches buffers ~65k
+	// events). Zero selects 1024.
 	EventBuffer int
-	// Scheduler selects the ready-queue implementation: SchedStealing (the
-	// default work-stealing per-worker deques) or SchedGlobal (the reference
-	// single mutex+condvar queue, kept for A/B benchmarking).
-	Scheduler SchedulerKind
-	// Analyzer selects the dependency-analyzer implementation:
-	// AnalyzerSharded (the default; state sharded by (kernel, age) across
-	// per-shard event channels) or AnalyzerSerial (the single-goroutine
-	// reference analyzer, kept for A/B benchmarking).
-	Analyzer AnalyzerKind
-	// AnalyzerShards is the shard count for AnalyzerSharded; zero picks
-	// max(1, min(8, GOMAXPROCS/2)), and values are capped at 64 (the shard
-	// routing mask is a uint64).
+	// AnalyzerShards is the dependency analyzer's shard count: its state is
+	// sharded by (kernel, age) across this many goroutines, each with its
+	// own event channel. One shard is the paper's single analyzer thread.
+	// Zero picks max(1, min(8, GOMAXPROCS/2)), and values are capped at 64
+	// (the shard routing mask is a uint64).
 	AnalyzerShards int
-	// FetchCopy disables read-only fetch views and restores the copying
-	// fetch path (every whole-generation and slab fetch snapshots into a
-	// per-instance Array). Views are safe because generations are
-	// write-once and completeness-gated; the copy path is kept as the A/B
-	// reference (`p2gbench -fetchcopy`).
-	FetchCopy bool
 
 	// Metrics, when set, receives the node's full instrumentation: the
 	// per-kernel counters behind the Report plus dispatch/fetch/store
@@ -164,22 +152,18 @@ type Node struct {
 	order   []*kernelState
 
 	timers *deadline.TimerSet
-	sched  scheduler
-	// events feeds the serial analyzer; under the sharded analyzer (sh is
-	// non-nil) workers route events to per-shard channels instead.
-	events chan []event
+	sched  *stealScheduler
 	sh     *shardedAnalyzer
 	out    *lockedWriter
 
 	wg        sync.WaitGroup
 	closeOnce sync.Once
 
-	// injectMu guards the events channel against sends racing its close
-	// during shutdown (InjectStore and friends run on caller goroutines).
+	// injectMu guards the shard event channels against sends racing their
+	// close during shutdown (InjectStore and friends run on caller
+	// goroutines).
 	injectMu     sync.RWMutex
 	eventsClosed bool
-
-	outstandingMirror atomic.Int64
 
 	errMu  sync.Mutex
 	runErr error
@@ -284,12 +268,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	}
 	n.mSteals = newBaselined(n.reg.Counter(obs.MStealsTotal))
 	n.mEventBatches = newBaselined(n.reg.Counter(obs.MEventBatchesTotal))
-	switch opts.Scheduler {
-	case SchedGlobal:
-		n.sched = newReadyQueue()
-	default:
-		n.sched = newStealScheduler(opts.Workers, n.mSteals.c, gWorkerDepth)
-	}
+	n.sched = newStealScheduler(opts.Workers, n.mSteals.c, gWorkerDepth)
 	n.tracer.CountDropped(n.reg.Counter(obs.MTraceDropped))
 	for _, fd := range p.Fields {
 		fl := field.New(fd.Name, fd.Kind, fd.Rank, fd.Aged)
@@ -312,7 +291,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 	}
 	for _, kd := range p.Kernels {
 		ks := &kernelState{
-			decl: kd, ages: make(map[int]*ageTracker), remote: opts.RemoteKernels[kd.Name],
+			decl: kd, remote: opts.RemoteKernels[kd.Name],
 			instances:  newBaselined(n.reg.Counter(obs.Label(obs.MKernelInstances, "kernel", kd.Name))),
 			dispatchNs: newBaselined(n.reg.Counter(obs.Label(obs.MKernelDispatchNs, "kernel", kd.Name))),
 			kernelNs:   newBaselined(n.reg.Counter(obs.Label(obs.MKernelTimeNs, "kernel", kd.Name))),
@@ -385,7 +364,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			switch {
 			case fe.Whole():
 				fp.whole = true
-				fp.viewable = !opts.FetchCopy
+				fp.viewable = true
 			case fe.Slab():
 				fp.slab = make([]slabTerm, len(fe.Index))
 				for d, spec := range fe.Index {
@@ -400,7 +379,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 				// A slab selector is viewable when its fixed dimensions are
 				// a prefix: the free suffix then addresses one contiguous
 				// row range of the generation slab.
-				fp.viewable = !opts.FetchCopy
+				fp.viewable = true
 				free := false
 				for _, st := range fp.slab {
 					if st.fixed && free {
@@ -447,14 +426,15 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 		}
 		kd, nIdx, nSel := kd, maxIdx, maxSel
 		ks.frames = &sync.Pool{New: func() any {
-			return &execFrame{
-				ctx: core.NewReusableCtx(kd, n.timers, n.out),
+			fr := &execFrame{
 				idx: make([]int, nIdx),
 				sel: make([]field.SlabDim, nSel),
 			}
+			fr.ctx = core.NewReusableCtx(kd, n.timers, &fr.out)
+			return fr
 		}}
 	}
-	// Store-event routing tables (sharded analyzer): which shards a store to
+	// Store-event routing tables: which analyzer shards a store to
 	// generation g can concern. Remote kernels never have local trackers, so
 	// their edges route nowhere.
 	for _, fs := range n.fields {
@@ -489,13 +469,7 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 			}
 		}
 	}
-	if opts.Analyzer == AnalyzerSharded {
-		n.sh = newShardedAnalyzer(n, opts.AnalyzerShards)
-	} else {
-		// The serial analyzer's event channel; the sharded analyzer routes
-		// through per-shard channels instead and never touches it.
-		n.events = make(chan []event, opts.EventBuffer)
-	}
+	n.sh = newShardedAnalyzer(n, opts.AnalyzerShards)
 	return n, nil
 }
 
@@ -504,11 +478,16 @@ func NewNode(p *core.Program, opts Options) (*Node, error) {
 // scratch sized for the kernel's largest index expressions. views holds the
 // tokens of slab views acquired by the current dispatch; they are released
 // after the store loop, when nothing can read the aliased slabs anymore.
+// out collects the instance's kernel output, written to the node's output in
+// one piece when the body returns: a kernel-language cout statement is one
+// Printf, so a line usually takes several, and unbuffered lines of
+// concurrent instances would interleave.
 type execFrame struct {
 	ctx   *core.Ctx
 	idx   []int
 	sel   []field.SlabDim
 	views []field.ViewToken
+	out   bytes.Buffer
 }
 
 // releaseViews drops every view token acquired by the current dispatch.
@@ -527,18 +506,9 @@ func (n *Node) Run() (*Report, error) {
 		n.wg.Add(1)
 		go n.worker(i)
 	}
-	var stats analyzerStats
-	if n.sh != nil {
-		n.sh.run()
-		n.wg.Wait()
-		stats = n.sh.stats(n.failed())
-	} else {
-		an := newAnalyzer(n)
-		an.run()
-		n.wg.Wait()
-		stats = an.stats(n.failed())
-	}
-	n.report = n.buildReport(time.Since(start), stats)
+	n.sh.run()
+	n.wg.Wait()
+	n.report = n.buildReport(time.Since(start), n.sh.stats(n.failed()))
 	return n.report, n.runErr
 }
 
@@ -556,20 +526,16 @@ func Run(p *core.Program, opts Options) (*Report, error) {
 	return rep, runErr
 }
 
-// closeEventsWhenWorkersExit arranges for the event channel(s) to close once
-// all workers have stopped, letting the analyzer drain without deadlock.
+// closeEventsWhenWorkersExit arranges for the shard event channels to close
+// once all workers have stopped, letting the analyzer drain without deadlock.
 func (n *Node) closeEventsWhenWorkersExit() {
 	n.closeOnce.Do(func() {
 		go func() {
 			n.wg.Wait()
 			n.injectMu.Lock()
 			n.eventsClosed = true
-			if n.sh != nil {
-				for _, s := range n.sh.shards {
-					close(s.ch)
-				}
-			} else {
-				close(n.events)
+			for _, s := range n.sh.shards {
+				close(s.ch)
 			}
 			n.injectMu.Unlock()
 		}()
@@ -577,30 +543,17 @@ func (n *Node) closeEventsWhenWorkersExit() {
 }
 
 // inject delivers an externally produced event unless the node has shut
-// down. It reports whether the event was accepted. External events arrive one
-// at a time, so each rides in its own (pooled) single-event batch.
-func (n *Node) inject(ev event) bool {
+// down. External events arrive one at a time, so each rides in its own
+// (pooled) single-event batch, routed to the shard(s) it concerns: done
+// events to the tracker's owner, remote-done and completeness bookkeeping to
+// shard 0, stop to everyone, and store events along the precompiled routing
+// tables.
+func (n *Node) inject(ev event) {
 	n.injectMu.RLock()
 	defer n.injectMu.RUnlock()
 	if n.eventsClosed {
-		return false
+		return
 	}
-	if n.sh != nil {
-		n.injectSharded(ev)
-		return true
-	}
-	evs := getEventBuf()
-	evs = append(evs, ev)
-	n.mEventBatches.Add(1)
-	n.events <- evs
-	return true
-}
-
-// injectSharded routes an injected event to the shard(s) it concerns: done
-// events to the tracker's owner, remote-done and completeness bookkeeping to
-// shard 0, stop to everyone, and store events along the precompiled routing
-// tables. Caller holds injectMu.RLock with eventsClosed false.
-func (n *Node) injectSharded(ev event) {
 	sh := n.sh
 	send := func(shard int) {
 		evs := getEventBuf()
@@ -689,12 +642,9 @@ func (n *Node) Stop() {
 // backlogged events. Distributed masters poll this (twice, with stable event
 // counts) to detect global quiescence.
 func (n *Node) Idle() bool {
-	if n.sh != nil {
-		// pending counts every unit of in-flight work: buffered batches,
-		// control messages, and ready-but-not-done instances.
-		return n.sh.pending.Load() == 0
-	}
-	return n.outstandingMirror.Load() == 0 && len(n.events) == 0
+	// pending counts every unit of in-flight work: buffered batches, control
+	// messages, and ready-but-not-done instances.
+	return n.sh.pending.Load() == 0
 }
 
 func (n *Node) fail(err error) {
@@ -764,7 +714,7 @@ const eventFlushThreshold = 64
 
 // workerState is one worker goroutine's dispatch state: its scheduler slot
 // and the local analyzer-event buffers awaiting the next batched flush — one
-// buffer per analyzer shard (a single buffer under the serial analyzer).
+// buffer per analyzer shard.
 type workerState struct {
 	n    *Node
 	id   int // 0-based scheduler slot; tracer lane is id+1 (analyzer is 0)
@@ -789,27 +739,19 @@ type workerState struct {
 const timeSampleEvery = 8
 
 func newWorkerState(n *Node, id int) *workerState {
-	nb := 1
-	if n.sh != nil {
-		nb = len(n.sh.shards)
-	}
-	w := &workerState{n: n, id: id, bufs: make([][]event, nb), timeAll: n.stamp, frames: make([]*execFrame, len(n.order))}
+	w := &workerState{n: n, id: id, bufs: make([][]event, len(n.sh.shards)), timeAll: n.stamp, frames: make([]*execFrame, len(n.order))}
 	for i := range w.bufs {
 		w.bufs[i] = getEventBuf()
 	}
 	return w
 }
 
-// emit routes one analyzer event to its shard buffer(s). Under the sharded
-// analyzer a store event reaches only the shards whose trackers can depend on
-// it; an event with an empty route set is dropped here, before it costs a
-// channel send or an analyzer wakeup.
+// emit routes one analyzer event to its shard buffer(s). A store event
+// reaches only the shards whose trackers can depend on it; an event with an
+// empty route set is dropped here, before it costs a channel send or an
+// analyzer wakeup.
 func (w *workerState) emit(ev *event) {
 	sh := w.n.sh
-	if sh == nil {
-		w.add(0, ev)
-		return
-	}
 	if ev.isDone {
 		w.add(sh.shardOf(ev.t.ks, ev.t.age), ev)
 		return
@@ -827,7 +769,7 @@ func (w *workerState) emit(ev *event) {
 // happens here (empty -> non-empty) and the matching decrement only after the
 // flushed batch is fully processed.
 func (w *workerState) add(shard int, ev *event) {
-	if w.n.sh != nil && len(w.bufs[shard]) == 0 {
+	if len(w.bufs[shard]) == 0 {
 		w.n.sh.pending.Add(1)
 		w.n.sh.activity.Add(1)
 	}
@@ -844,11 +786,7 @@ func (w *workerState) flushShard(shard int) {
 		return
 	}
 	w.n.mEventBatches.Add(1)
-	if w.n.sh != nil {
-		w.n.sh.shards[shard].ch <- w.bufs[shard]
-	} else {
-		w.n.events <- w.bufs[shard]
-	}
+	w.n.sh.shards[shard].ch <- w.bufs[shard]
 	w.bufs[shard] = getEventBuf()
 }
 
@@ -980,6 +918,10 @@ func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
 		t1 = time.Now()
 	}
 	err := n.runBody(kd, ctx)
+	if fr.out.Len() > 0 {
+		n.out.Write(fr.out.Bytes())
+		fr.out.Reset()
+	}
 	var t2 time.Time
 	if timed {
 		t2 = time.Now()

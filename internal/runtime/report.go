@@ -54,13 +54,13 @@ type Report struct {
 
 	// Scheduler queue high-water marks: the deepest the ready queue got
 	// (instances) and the largest analyzer event backlog observed (in event
-	// batches, the channel's unit). Under the sharded analyzer both are the
-	// maximum across shards, so concurrent shards cannot understate them.
+	// batches, the channel's unit). Both are the maximum across analyzer
+	// shards, so concurrent shards cannot understate them.
 	MaxQueueDepth   int
 	MaxEventBacklog int
 
-	// AnalyzerShards is the shard count of the sharded dependency analyzer
-	// (0 when the serial reference analyzer ran). ShardEvents counts the
+	// AnalyzerShards is the shard count of the dependency analyzer (1 is
+	// the paper's single analyzer thread). ShardEvents counts the
 	// events each shard processed and ShardMaxBacklog each shard's event
 	// backlog high-water mark; together they show how evenly the
 	// (kernel, age) hash spread the analyzer load.
@@ -69,8 +69,7 @@ type Report struct {
 	ShardMaxBacklog []int
 
 	// Scheduler fast-path counters: batches taken from a peer's deque by the
-	// work-stealing scheduler (always zero under SchedGlobal) and event
-	// batches delivered to the analyzer.
+	// work-stealing scheduler, and event batches delivered to the analyzer.
 	Steals       int64
 	EventBatches int64
 
@@ -111,8 +110,7 @@ type StageTotals struct {
 	IdleNs      int64 // workers blocked on an empty ready queue
 	FlightNs    int64 // dist messages in flight (clock-offset corrected)
 
-	// Analyzer-clock lane (sharded analyzer only; zero under the serial
-	// reference analyzer): AnalyzeNs sums every shard's event/control
+	// Analyzer-clock lane: AnalyzeNs sums every shard's event/control
 	// processing busy time, AnalyzeMaxShardNs is the busiest single shard,
 	// and WallNs is the run's wall time — their ratio is a measured analyzer
 	// occupancy, replacing the inferred ready-wait heuristic.
@@ -143,10 +141,10 @@ func (s *StageTotals) Coverage(wall time.Duration) float64 {
 
 // AnalyzerSaturated flags the paper's §VIII-B signature: the dependency
 // analyzer is the bottleneck and adding workers will not help. With the
-// sharded analyzer's measured busy fractions available, the flag is direct:
-// the busiest shard was occupied more than 75% of the wall time while workers
-// sat idle longer than they dispatched. Without measurements (serial
-// analyzer) it falls back to the inferred heuristic: instances spend far
+// shards' measured busy fractions available, the flag is direct: the busiest
+// shard was occupied more than 75% of the wall time while workers sat idle
+// longer than they dispatched. Without measurements (totals that carry no
+// analyzer lane) it falls back to the inferred heuristic: instances spend far
 // longer waiting to be marked ready than workers spend dispatching them
 // (ready-wait > 2× busy and idle > busy).
 func (s *StageTotals) AnalyzerSaturated() bool {
@@ -177,31 +175,20 @@ func (s *StageTotals) add(other *StageTotals) {
 	}
 }
 
-// analyzerStats is the analyzer-side summary buildReport consumes, produced
-// by both implementations (analyzer.stats, shardedAnalyzer.stats) so the
-// report code is analyzer-agnostic. The high-water marks are already
-// aggregated (maximum across shards).
+// analyzerStats is the analyzer-side summary buildReport consumes. The
+// high-water marks are already aggregated (maximum across shards).
 type analyzerStats struct {
 	maxQueue   int
 	maxBacklog int
 	stalled    []string
 
-	shards          int // 0 for the serial analyzer
+	shards          int
 	shardEvents     []int64
 	shardBacklogMax []int
 	analyzeNs       []int64 // per-shard event/control busy time
 }
 
-// stats summarizes the serial analyzer for the report.
-func (an *analyzer) stats(failed bool) analyzerStats {
-	st := analyzerStats{maxQueue: an.maxQueue, maxBacklog: an.maxBacklog}
-	if !failed {
-		st.stalled = an.stalled()
-	}
-	return st
-}
-
-// stats summarizes the sharded analyzer for the report, max-aggregating the
+// stats summarizes the analyzer for the report, max-aggregating the
 // per-shard high-water marks (a sum would be meaningless for marks taken on
 // concurrent shards, and taking one shard's value would understate the run).
 func (sa *shardedAnalyzer) stats(failed bool) analyzerStats {
@@ -385,7 +372,7 @@ func (r *Report) Table() string {
 		fmt.Fprintf(&b, "queue: max depth %d insts, max event backlog %d batches, %d steals, %d event batches\n",
 			r.MaxQueueDepth, r.MaxEventBacklog, r.Steals, r.EventBatches)
 	}
-	if r.AnalyzerShards > 0 {
+	if r.AnalyzerShards > 0 { // hand-built reports carry no analyzer data
 		fmt.Fprintf(&b, "analyzer: %d shards, events per shard %v, max backlog per shard %v\n",
 			r.AnalyzerShards, r.ShardEvents, r.ShardMaxBacklog)
 	}

@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"testing"
 
@@ -140,6 +141,51 @@ func checkMulSumFields(t *testing.T, n *Node, maxAge int) {
 		}
 		if !ps.Equal(field.ArrayFromInt32(p[a])) {
 			t.Errorf("p_data(%d) = %v, want %v", a, ps, p[a])
+		}
+	}
+}
+
+// TestInstanceOutputAtomic: a kernel-language cout line is several Printf
+// calls (one per cout statement), so concurrent instances must not
+// interleave inside each other's output.
+func TestInstanceOutputAtomic(t *testing.T) {
+	const n = 400
+	b := core.NewBuilder("say")
+	b.Field("in", field.Int32, 1, false)
+	b.Kernel("init").
+		Local("v", field.Int32, 1).
+		StoreAll("in", core.AgeAt(0), "v").
+		Body(func(c *core.Ctx) error {
+			c.Array("v").Grow(n)
+			return nil
+		})
+	b.Kernel("say").Index("x").
+		Local("v", field.Int32, 0).
+		Fetch("v", "in", core.AgeAt(0), core.Idx("x")).
+		Body(func(c *core.Ctx) error {
+			x := c.Index("x")
+			c.Printf("%d", x)
+			goruntime.Gosched()
+			c.Printf(" %d", x)
+			goruntime.Gosched()
+			c.Printf("\n")
+			return nil
+		})
+	prog, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if _, err := Run(prog, Options{Workers: 8, Output: &out}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	if len(lines) != n {
+		t.Fatalf("%d output lines, want %d", len(lines), n)
+	}
+	for _, l := range lines {
+		if f := strings.Fields(l); len(f) != 2 || f[0] != f[1] || l != f[0]+" "+f[1] {
+			t.Fatalf("torn output line %q", l)
 		}
 	}
 }

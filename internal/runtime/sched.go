@@ -9,44 +9,6 @@ import (
 	"repro/internal/obs"
 )
 
-// SchedulerKind selects the ready-queue implementation of the low-level
-// scheduler (Options.Scheduler).
-type SchedulerKind uint8
-
-const (
-	// SchedStealing is the default: per-worker age-aware deques with work
-	// stealing. The analyzer spreads batches across the deques round-robin;
-	// each worker pops its own oldest-age batch locally and steals the
-	// globally oldest batch from a peer when its deque is dry or holds only
-	// work younger than the age epoch.
-	SchedStealing SchedulerKind = iota
-	// SchedGlobal is the reference implementation: the single mutex+condvar
-	// priority queue all workers contend on. Kept selectable for A/B
-	// benchmarking against the stealing scheduler.
-	SchedGlobal
-)
-
-// scheduler is the dispatch half of the low-level scheduler: the analyzer
-// pushes ready batches, workers pop them oldest-age-first. Pop blocks;
-// TryPop does not (workers use it to flush buffered analyzer events before
-// they would block).
-type scheduler interface {
-	Push(b *batch)
-	// PushBulk enqueues many batches with amortized synchronization: one
-	// epoch update and one waiter wakeup for the whole group. The sharded
-	// analyzer uses it for instance-creation bursts.
-	PushBulk(bs []*batch)
-	// TryPop returns a batch without blocking, or false when no work is
-	// currently available (which does not imply the queue is closed).
-	TryPop(worker int) (*batch, bool)
-	// Pop blocks until a batch is available; false once the queue is closed
-	// and drained.
-	Pop(worker int) (*batch, bool)
-	Close()
-	// Len returns the number of queued instances (not batches).
-	Len() int
-}
-
 // emptyAge is the deque-min sentinel for "nothing queued".
 const emptyAge = int64(math.MaxInt64)
 
@@ -180,31 +142,9 @@ func newStealScheduler(workers int, steals *obs.Counter, depth []*obs.Gauge) *st
 	return s
 }
 
-func (s *stealScheduler) Push(b *batch) {
-	if s.closed.Load() {
-		return
-	}
-	age := b.tracker.age
-	d := s.deques[int(s.rr.Add(1))%len(s.deques)]
-	d.push(age, b)
-	s.queued.Add(int64(len(b.insts)))
-	for {
-		e := s.epoch.Load()
-		if int64(age) >= e || s.epoch.CompareAndSwap(e, int64(age)) {
-			break
-		}
-	}
-	s.version.Add(1)
-	if s.waiters.Load() > 0 {
-		s.mu.Lock()
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}
-}
-
-// PushBulk enqueues a burst of batches: per-batch deque pushes (round-robin,
-// like Push) but a single epoch CAS with the group's minimum age and a single
-// waiter broadcast, so creation bursts do not pay per-batch wakeup cost.
+// PushBulk enqueues a burst of batches: per-batch deque pushes (round-robin)
+// but a single epoch CAS with the group's minimum age and a single waiter
+// broadcast, so creation bursts do not pay per-batch wakeup cost.
 func (s *stealScheduler) PushBulk(bs []*batch) {
 	if len(bs) == 0 || s.closed.Load() {
 		return
@@ -216,8 +156,10 @@ func (s *stealScheduler) PushBulk(bs []*batch) {
 		if int64(age) < minAge {
 			minAge = int64(age)
 		}
-		s.deques[int(s.rr.Add(1))%len(s.deques)].push(age, b)
+		// Count before the push: once queued, a worker may pop, run and
+		// recycle the batch at any moment.
 		insts += int64(len(b.insts))
+		s.deques[int(s.rr.Add(1))%len(s.deques)].push(age, b)
 	}
 	s.queued.Add(insts)
 	for {
@@ -234,6 +176,9 @@ func (s *stealScheduler) PushBulk(bs []*batch) {
 	}
 }
 
+// TryPop returns the globally oldest batch without blocking, or false when
+// no work is currently available (which does not imply the queue is closed).
+// Workers use it to flush buffered analyzer events before they would block.
 func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 	self := s.deques[worker]
 	for {
@@ -274,6 +219,8 @@ func (s *stealScheduler) TryPop(worker int) (*batch, bool) {
 	}
 }
 
+// Pop blocks until a batch is available; false once the queue is closed and
+// drained.
 func (s *stealScheduler) Pop(worker int) (*batch, bool) {
 	for {
 		if b, ok := s.TryPop(worker); ok {
@@ -298,6 +245,8 @@ func (s *stealScheduler) Pop(worker int) (*batch, bool) {
 	}
 }
 
+// Close wakes all blocked consumers; queued batches may still be popped, and
+// later pushes are ignored.
 func (s *stealScheduler) Close() {
 	s.closed.Store(true)
 	s.mu.Lock()
@@ -305,4 +254,5 @@ func (s *stealScheduler) Close() {
 	s.mu.Unlock()
 }
 
+// Len returns the number of queued instances (not batches).
 func (s *stealScheduler) Len() int { return int(s.queued.Load()) }

@@ -11,6 +11,8 @@ func mkBatch(age int) *batch {
 	return &batch{tracker: &ageTracker{age: age}, insts: []*instState{{}}}
 }
 
+func pushOne(s *stealScheduler, b *batch) { s.PushBulk([]*batch{b}) }
+
 // TestStealOldestFirst is the ordering contract of the stealing scheduler: a
 // worker whose own deque holds only age N+1 work must steal a peer's age N
 // batch (below the epoch) instead of dispatching its younger local work.
@@ -20,8 +22,8 @@ func TestStealOldestFirst(t *testing.T) {
 	s := newStealScheduler(2, steals, nil)
 
 	// Round-robin: the first push lands in deque 1, the second in deque 0.
-	s.Push(mkBatch(1)) // deque 1 <- age 1
-	s.Push(mkBatch(0)) // deque 0 <- age 0
+	pushOne(s, mkBatch(1)) // deque 1 <- age 1
+	pushOne(s, mkBatch(0)) // deque 0 <- age 0
 	if s.deques[1].min.Load() != 1 || s.deques[0].min.Load() != 0 {
 		t.Fatalf("unexpected deque placement: min0=%d min1=%d",
 			s.deques[0].min.Load(), s.deques[1].min.Load())
@@ -50,6 +52,22 @@ func TestStealOldestFirst(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())
 	}
+
+	// One deque: ages pop oldest first, and same-age batches in FIFO order.
+	s = newStealScheduler(1, nil, nil)
+	pushed := []*batch{mkBatch(3), mkBatch(1), mkBatch(2), mkBatch(1)}
+	for _, b := range pushed {
+		pushOne(s, b)
+	}
+	for i, want := range []*batch{pushed[1], pushed[3], pushed[2], pushed[0]} {
+		b, ok := s.TryPop(0)
+		if !ok || b != want {
+			t.Fatalf("pop %d got batch %p (ok=%v), want %p of age %d", i, b, ok, want, want.tracker.age)
+		}
+	}
+	if s.Len() != 0 {
+		t.Fatalf("single-deque Len = %d, want 0", s.Len())
+	}
 }
 
 // TestStealSchedulerEpochNeverSkipsAge pushes ages in descending order onto
@@ -58,7 +76,7 @@ func TestStealOldestFirst(t *testing.T) {
 func TestStealSchedulerEpochNeverSkipsAge(t *testing.T) {
 	s := newStealScheduler(4, nil, nil)
 	for age := 9; age >= 0; age-- {
-		s.Push(mkBatch(age))
+		pushOne(s, mkBatch(age))
 	}
 	for want := 0; want < 10; want++ {
 		b, ok := s.TryPop(2)
@@ -71,8 +89,9 @@ func TestStealSchedulerEpochNeverSkipsAge(t *testing.T) {
 	}
 }
 
-// TestStealSchedulerBlockingPop checks Pop blocks until a push arrives and
-// returns false after Close drains.
+// TestStealSchedulerBlockingPop checks Pop blocks until a push arrives,
+// still hands out batches queued before Close, returns false once Close has
+// drained, and ignores pushes after Close.
 func TestStealSchedulerBlockingPop(t *testing.T) {
 	s := newStealScheduler(2, nil, nil)
 	got := make(chan int, 1)
@@ -84,15 +103,20 @@ func TestStealSchedulerBlockingPop(t *testing.T) {
 		}
 		got <- b.tracker.age
 	}()
-	s.Push(mkBatch(7))
+	pushOne(s, mkBatch(7))
 	if age := <-got; age != 7 {
 		t.Fatalf("blocked pop got %d, want 7", age)
 	}
+	queued := mkBatch(4)
+	pushOne(s, queued)
 	s.Close()
+	if b, ok := s.Pop(1); !ok || b != queued {
+		t.Fatalf("Pop after Close got %v (ok=%v), want the batch queued before Close", b, ok)
+	}
 	if _, ok := s.Pop(1); ok {
 		t.Fatal("Pop after Close+drain should report closed")
 	}
-	s.Push(mkBatch(1)) // push after close is a no-op
+	pushOne(s, mkBatch(1)) // push after close is a no-op
 	if s.Len() != 0 {
 		t.Fatal("push after close should be ignored")
 	}
@@ -122,7 +146,7 @@ func TestStealSchedulerConcurrent(t *testing.T) {
 	}
 	for a := 0; a < ages; a++ {
 		for i := 0; i < perAge; i++ {
-			s.Push(mkBatch(a))
+			pushOne(s, mkBatch(a))
 		}
 	}
 	s.Close() // workers drain the remaining queued batches before exiting

@@ -12,22 +12,6 @@ import (
 	"repro/internal/obs"
 )
 
-// AnalyzerKind selects the dependency-analyzer implementation
-// (Options.Analyzer).
-type AnalyzerKind uint8
-
-const (
-	// AnalyzerSharded is the default: analyzer state is sharded by
-	// (kernel, age) across N goroutines with per-shard event channels. The
-	// paper's §VIII-B attributes the K-means scaling limit to the serial
-	// analyzer; sharding removes that bottleneck while the scheduler's age
-	// epoch preserves oldest-age-first dispatch order.
-	AnalyzerSharded AnalyzerKind = iota
-	// AnalyzerSerial is the single-goroutine reference analyzer (the paper's
-	// dedicated analyzer thread), kept selectable for A/B comparison.
-	AnalyzerSerial
-)
-
 // fieldGen identifies one generation of one field.
 type fieldGen struct {
 	fs *fieldState
@@ -65,9 +49,13 @@ type ctlMsg struct {
 	ks   *kernelState
 }
 
-// shardedAnalyzer is the sharded dependency analyzer: N anShard goroutines,
-// each owning the trackers whose (kernel, age) hashes to it, fed by per-shard
-// event channels so workers never contend on a single analyzer inbox.
+// shardedAnalyzer is the dependency analyzer half of the low-level
+// scheduler: N anShard goroutines, each owning the trackers whose
+// (kernel, age) hashes to it, fed by per-shard event channels so workers
+// never contend on a single analyzer inbox. With one shard it is the paper's
+// single dedicated analyzer thread, whose serial cost §VIII-B blames for the
+// K-means scaling limit; more shards remove that bottleneck while the
+// scheduler's age epoch preserves oldest-age-first dispatch order.
 //
 // Quiescence is a single atomic: pending counts every unit of in-flight work
 // (buffered worker batches, injected batches, posted control messages, and
@@ -113,7 +101,7 @@ type anShard struct {
 	spare  []ctlMsg
 	notify chan struct{} // cap 1: wakeup token for mailbox posts
 
-	// kernelAges shards kernelState.ages: this shard's trackers only.
+	// kernelAges holds this shard's trackers, by kernel and age.
 	kernelAges map[*kernelState]map[int]*ageTracker
 
 	// complete is the shard's field-generation completeness replica, updated
@@ -807,16 +795,13 @@ func (s *anShard) handleDone(ev *event) {
 			TS: tr.Now(), Age: t.age, Index: ev.inst.coords,
 		})
 	}
-	if ks.decl.Source() {
-		if ev.stopped || ev.stores == 0 {
-			ks.sourceStopped = true
+	// A source instance that stored and did not stop continues at age+1.
+	if ks.decl.Source() && !ev.stopped && ev.stores != 0 {
+		next := t.age + 1
+		if to := s.sa.shardOf(ks, next); to == s.id {
+			s.sourceTracker(ks, next)
 		} else {
-			next := t.age + 1
-			if to := s.sa.shardOf(ks, next); to == s.id {
-				s.sourceTracker(ks, next)
-			} else {
-				s.sa.post(to, ctlMsg{kind: ctlCreateSource, ks: ks, age: next})
-			}
+			s.sa.post(to, ctlMsg{kind: ctlCreateSource, ks: ks, age: next})
 		}
 	}
 	if s.n.opts.Adaptive {
@@ -836,7 +821,7 @@ func (s *anShard) adapt(ks *kernelState) {
 	if n == 0 || n%128 != 0 || g >= 256 {
 		return
 	}
-	// Means come from the timed instances only, as in the serial analyzer.
+	// Means come from the timed instances only (dispatch timing is sampled).
 	timed := ks.timedInsts.Load()
 	if timed == 0 {
 		return
@@ -918,9 +903,9 @@ func (s *anShard) onTrackerComplete(t *ageTracker) {
 
 // handleStore processes a store event on every shard it was routed to:
 // domain growth for kernels whose index range the field defines, then fetch
-// satisfaction for element-fetch consumers. Unlike the serial analyzer there
-// is no completeness bookkeeping here — that is shard 0's job, reached
-// through tracker completion.
+// satisfaction for element-fetch consumers. There is no completeness
+// bookkeeping here — that is shard 0's job, reached through tracker
+// completion.
 func (s *anShard) handleStore(ev *event) {
 	if ev.grew {
 		for _, re := range ev.fs.rangeOf {

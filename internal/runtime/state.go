@@ -135,6 +135,17 @@ func compileSpec(s core.IndexSpec, vars []string) idxTerm {
 	return idxTerm{v: -1, off: s.Lit}
 }
 
+// varIndex returns the position of an index variable in the kernel's
+// declaration order.
+func varIndex(vars []string, name string) int {
+	for i, v := range vars {
+		if v == name {
+			return i
+		}
+	}
+	panic(fmt.Sprintf("p2g: unknown index variable %q", name))
+}
+
 // compileIndex precompiles index specs against the kernel's index-variable
 // list. Slab (All) coordinates are rejected by the caller.
 func compileIndex(specs []core.IndexSpec, vars []string) []idxTerm {
@@ -163,8 +174,8 @@ type fetchPlan struct {
 	whole bool
 	// viewable marks fetches eligible for the zero-copy view path: whole
 	// fetches always, slab fetches when the fixed dimensions form a prefix
-	// (so the selected rows are one contiguous slab range). Cleared when
-	// Options.FetchCopy forces the copying reference path.
+	// (so the selected rows are one contiguous slab range). Other fetches
+	// take the copying path into the instance's array.
 	viewable bool
 }
 
@@ -182,7 +193,7 @@ type kernelState struct {
 	decl  *core.KernelDecl
 	binds []varBind // one per index variable, in declaration order
 
-	// idx is the kernel's position in Node.order; the sharded analyzer's
+	// idx is the kernel's position in Node.order; the analyzer's
 	// (kernel, age) -> shard hash is computed from it.
 	idx int
 
@@ -191,7 +202,7 @@ type kernelState struct {
 	// needsInstMap is true when the kernel has at least one element fetch:
 	// only then does satisfaction ever look an instance up by coordinates.
 	// Kernels without element fetches (whole/slab only) skip the per-instance
-	// map insert on the sharded analyzer's creation path.
+	// map insert on the analyzer's creation path.
 	needsInstMap bool
 
 	// Dispatch plans: precompiled fetch/store coordinates (same order as
@@ -201,18 +212,14 @@ type kernelState struct {
 	storePlans []storePlan
 	frames     *sync.Pool // of *execFrame
 
-	ages map[int]*ageTracker
-
 	// gran is the instances-per-dispatch-batch data granularity (§V-A).
-	// Atomic because under the sharded analyzer, trackers of the same kernel
-	// at different ages live on different shards, and adapt() may race.
+	// Atomic because trackers of the same kernel at different ages live on
+	// different analyzer shards, and adapt() may race.
 	gran atomic.Int32
 
 	// remote marks a kernel executed on another node: no local instances,
 	// completions arrive via InjectRemoteDone.
 	remote bool
-
-	sourceStopped bool
 
 	// Instrumentation (Table II/III): instance count, per-instance
 	// dispatch overhead and kernel-code time, in nanoseconds. The handles
@@ -266,7 +273,7 @@ type ageTracker struct {
 	done    int
 	pending []*instState // ready instances not yet flushed into a batch
 
-	// all lists every instance when the sharded analyzer skips the inst map
+	// all lists every instance when the analyzer skips the inst map
 	// (kernels without element fetches never look instances up by coordinate);
 	// it exists only so completed trackers can recycle their instances.
 	all []*instState
@@ -288,7 +295,7 @@ type fieldState struct {
 
 	ages map[int]*fieldAgeState
 
-	// Store-event routing tables for the sharded analyzer, precompiled at
+	// Store-event routing tables for the analyzer shards, precompiled at
 	// NewNode. A store to generation g only concerns shards owning a tracker
 	// whose element-fetch satisfaction or index-range growth can depend on
 	// it: elemRoutes lists the age-variable element-fetch consumers (tracker

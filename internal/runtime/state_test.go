@@ -90,56 +90,3 @@ func TestCoordKey(t *testing.T) {
 		t.Error("empty coords should map to 0")
 	}
 }
-
-func TestReadyQueueAgeOrder(t *testing.T) {
-	q := newReadyQueue()
-	mk := func(age int) *batch {
-		return &batch{tracker: &ageTracker{age: age}, insts: []*instState{{}}}
-	}
-	q.Push(mk(3))
-	q.Push(mk(1))
-	q.Push(mk(2))
-	q.Push(mk(1))
-	var ages []int
-	for i := 0; i < 4; i++ {
-		b, ok := q.Pop(0)
-		if !ok {
-			t.Fatal("queue closed early")
-		}
-		ages = append(ages, b.tracker.age)
-	}
-	want := []int{1, 1, 2, 3}
-	for i := range want {
-		if ages[i] != want[i] {
-			t.Fatalf("pop order %v, want %v", ages, want)
-		}
-	}
-	if q.Len() != 0 {
-		t.Errorf("queue len = %d", q.Len())
-	}
-	q.Close()
-	if _, ok := q.Pop(0); ok {
-		t.Error("pop after close+drain should report closed")
-	}
-	q.Push(mk(1)) // push after close is a no-op
-	if q.Len() != 0 {
-		t.Error("push after close should be ignored")
-	}
-}
-
-func TestReadyQueueBlocksUntilPush(t *testing.T) {
-	q := newReadyQueue()
-	done := make(chan int, 1)
-	go func() {
-		b, ok := q.Pop(0)
-		if !ok {
-			done <- -1
-			return
-		}
-		done <- b.tracker.age
-	}()
-	q.Push(&batch{tracker: &ageTracker{age: 9}, insts: []*instState{{}}})
-	if got := <-done; got != 9 {
-		t.Fatalf("blocked pop got %d", got)
-	}
-}

@@ -3,12 +3,12 @@
 # repo root.
 #
 # Suites:
-#   scheduler  figure 9/10 sweeps under both Options.Scheduler settings plus
-#              the dispatch benchmarks           -> BENCH_scheduler.json
+#   scheduler  figure 9/10 sweeps, the analyzer shard sweep and the dispatch
+#              benchmarks                        -> BENCH_scheduler.json
 #   memory     figure 9/10 on the default scheduler plus the typed memory-path
 #              benchmarks (slab store, wire encode) -> BENCH_memory.json
-#   transport  distributed MJPEG encode over TCP loopback, batched typed
-#              frames vs the gob-per-store baseline -> BENCH_transport.json
+#   transport  distributed MJPEG encode over TCP loopback on batched typed
+#              frames, plus the frame encode     -> BENCH_transport.json
 #   obs        figure 9/10 workloads with observability off / metrics /
 #              full tracing (overhead A/B)          -> BENCH_obs.json
 #   lang       kernel-language back-end A/B: closure interpreter vs register
