@@ -52,9 +52,13 @@ func TestStealOldestFirst(t *testing.T) {
 	if s.Len() != 0 {
 		t.Fatalf("Len = %d, want 0", s.Len())
 	}
+}
 
-	// One deque: ages pop oldest first, and same-age batches in FIFO order.
-	s = newStealScheduler(1, nil, nil)
+// TestReadyQueueAgeOrder checks the ready queue (the stealing scheduler) on
+// one deque: ages pop oldest first, same-age batches in FIFO order, Pop
+// reports closed after Close and drain, and a push after Close is ignored.
+func TestReadyQueueAgeOrder(t *testing.T) {
+	s := newStealScheduler(1, nil, nil)
 	pushed := []*batch{mkBatch(3), mkBatch(1), mkBatch(2), mkBatch(1)}
 	for _, b := range pushed {
 		pushOne(s, b)
@@ -66,7 +70,34 @@ func TestStealOldestFirst(t *testing.T) {
 		}
 	}
 	if s.Len() != 0 {
-		t.Fatalf("single-deque Len = %d, want 0", s.Len())
+		t.Errorf("queue len = %d", s.Len())
+	}
+	s.Close()
+	if _, ok := s.Pop(0); ok {
+		t.Error("pop after close+drain should report closed")
+	}
+	pushOne(s, mkBatch(1)) // push after close is a no-op
+	if s.Len() != 0 {
+		t.Error("push after close should be ignored")
+	}
+}
+
+// TestReadyQueueBlocksUntilPush checks a Pop on an empty ready queue blocks
+// until a batch is pushed and then returns that batch.
+func TestReadyQueueBlocksUntilPush(t *testing.T) {
+	s := newStealScheduler(1, nil, nil)
+	done := make(chan int, 1)
+	go func() {
+		b, ok := s.Pop(0)
+		if !ok {
+			done <- -1
+			return
+		}
+		done <- b.tracker.age
+	}()
+	pushOne(s, mkBatch(9))
+	if got := <-done; got != 9 {
+		t.Fatalf("blocked pop got %d", got)
 	}
 }
 
