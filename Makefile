@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci perfbench-check test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race vet fmt-check ci perfbench-check fuzz-lang test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
 
 all: build
 
@@ -21,13 +21,20 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # ci is the tier-1 gate: formatting, static checks, build, and the full test
-# suite under the race detector, plus the benchmark harness check.
-ci: fmt-check vet build race perfbench-check
+# suite under the race detector, plus the benchmark harness check and the
+# kernel-language fuzz gate.
+ci: fmt-check vet build race perfbench-check fuzz-lang
 
 # perfbench-check vets, builds and tests the benchmark harness, which is its
 # own module (perfbench/go.mod) and so is skipped by the root ./... patterns.
 perfbench-check:
 	cd perfbench && GOWORK=off GOPROXY=off $(GO) vet ./... && GOWORK=off GOPROXY=off $(GO) build -o /dev/null ./... && GOWORK=off GOPROXY=off $(GO) test -count=1 ./...
+
+# fuzz-lang is the kernel-language fuzz gate (also run by ci.sh): 10 s of
+# FuzzCompile, which requires Compile to never panic and to reject exactly
+# what the closure interpreter oracle rejects, with the same first error.
+fuzz-lang:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompile$$' -fuzztime 10s ./internal/lang/
 
 # test-fault is the fault-injection gate (also run by ci.sh): the failover,
 # liveness, and teardown regression tests under the race detector — every
@@ -67,9 +74,9 @@ bench-obs:
 	$(GO) test -run DispatchTracingOffAllocFree -count=1 ./internal/runtime/
 
 # bench-lang is the kernel-language back-end smoke gate (also run by ci.sh):
-# one iteration of each kernel body under the closure interpreter, the
-# register-bytecode VM, and the native Go baseline — enough to catch lowering
-# fallbacks or VM crashes on the benchmark kernels.
+# one iteration of each kernel body on the register-bytecode VM and as the
+# native Go baseline — enough to catch lowering or VM crashes on the
+# benchmark kernels.
 bench-lang:
 	$(GO) test -bench 'Lang(MulSum|KMeans|Wavefront)' -benchtime=1x -count=1 -run xxx .
 

@@ -40,6 +40,10 @@ go test -bench 'TransportMJPEG|FrameEncodeScatter' -benchtime=1x -count=1 -run x
 go test -bench 'ObsOverhead' -benchtime=1x -count=1 -run xxx .
 go test -run DispatchTracingOffAllocFree -count=1 ./internal/runtime/
 # Kernel-language back-end smoke gate (`make bench-lang`): each benchmark
-# kernel body once under the closure interpreter, the register-bytecode VM,
-# and the native Go baseline — catches lowering fallbacks and VM crashes.
+# kernel body once on the register-bytecode VM and as the native Go
+# baseline — catches lowering and VM crashes.
 go test -bench 'Lang(MulSum|KMeans|Wavefront)' -benchtime=1x -count=1 -run xxx .
+# Kernel-language fuzz gate (`make fuzz-lang`): 10 s of FuzzCompile, which
+# requires Compile to never panic and to reject exactly what the closure
+# interpreter oracle rejects, with the same first error.
+go test -run '^$' -fuzz '^FuzzCompile$' -fuzztime 10s ./internal/lang/

@@ -241,6 +241,11 @@ func (p *parser) forStmt() (Stmt, error) {
 		if err != nil {
 			return nil, err
 		}
+		// As in C, the post clause is not a declaration: a variable declared
+		// there would be in scope in the body before it is ever set.
+		if d, ok := post.(DeclStmt); ok {
+			return nil, errAt(d.Tok, "for-loop post clause cannot declare %q", d.Name)
+		}
 		st.Post = post
 	}
 	if _, err := p.expect(")"); err != nil {

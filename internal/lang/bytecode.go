@@ -1,14 +1,13 @@
 package lang
 
-// Register bytecode for kernel bodies. The closure interpreter in compile.go
-// walks a tree of Go closures with every operand boxed in a field.Value; this
-// back-end lowers the same AST to a flat instruction slice executed by a
-// switch-dispatch VM (vm.go): scalars live in unboxed int64/float64/string
-// register files partitioned at compile time by the declared kinds, array
-// accesses index the typed slab backing directly, and control flow is jump
-// offsets. The closure back-end stays selectable (Options.Backend) as the A/B
-// reference; the differential tests in bytecode_test.go and fuzz_test.go pin
-// the two to bit-identical results.
+// Register bytecode for kernel bodies, the only kernel-body back-end. The
+// lowering (lower.go) turns the code-block AST into a flat instruction slice
+// executed by a switch-dispatch VM (vm.go): scalars live in unboxed
+// int64/float64/string register files partitioned at compile time by the
+// declared kinds, values of dynamic kind live boxed, array accesses index the
+// typed slab backing directly, and control flow is jump offsets. The
+// differential tests in bytecode_test.go and fuzz_test.go pin it to
+// bit-identical results with the closure interpreter in closure_test.go.
 //
 // Instruction encoding: one opcode plus four int32 operands {a, b, c, d}.
 // Operand roles by convention: a is the destination register (or jump target
@@ -89,8 +88,8 @@ const (
 	// strings
 	opConcatS // s[a] = s[b] + s[c]
 
-	// comparisons (i[a] = 0/1; float variants use the interpreter's
-	// compareFloat total order, under which NaN compares equal to everything)
+	// comparisons (i[a] = 0/1; float variants use compareFloat's total
+	// order, under which NaN compares equal to everything)
 	opEqI
 	opNeI
 	opLtI
@@ -106,13 +105,13 @@ const (
 	opEqS
 	opNeS
 
-	// boxed fallback ops for Any-kind operands: identical helpers to the
-	// closure interpreter, so dynamic-kind semantics cannot drift
+	// boxed ops for operands of dynamic kind, built on arith() and the
+	// field.Value methods, so dynamic-kind semantics cannot drift
 	opArithV // v[a] = arith(sites[d], v[b], v[c])
 	opIncV   // v[a] = v[b] incremented by c (float/int by dynamic kind)
 	opNegV   // v[a] = -v[b] by dynamic kind
 	opAbsV
-	opMinV // v[a] = min(v[b], v[c]) with the interpreter's dynamic rules
+	opMinV // v[a] = min(v[b], v[c]) with the language's dynamic rules
 	opMaxV
 
 	// math builtins
@@ -142,7 +141,7 @@ const (
 
 	// arrays: b=local index, c=first of d contiguous int coordinate regs;
 	// out-of-range coordinates take the boxed At/Put cold path so panics and
-	// implicit grow match the interpreter exactly
+	// implicit grow match Array.At/Put exactly
 	opGetI // i[a] = arr(b).FlatGetInt(off)
 	opGetF // f[a] = arr(b).FlatGetFloat(off)
 	opGetV // v[a] = arr(b).AtFlat(off)
@@ -210,7 +209,7 @@ type instr struct {
 }
 
 // boxSite records the operator and source position of a boxed arithmetic
-// instruction so opArithV reports errors identical to the interpreter's.
+// instruction so opArithV's errors carry the operator's source position.
 type boxSite struct {
 	op  string
 	tok Token

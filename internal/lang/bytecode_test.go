@@ -1,8 +1,9 @@
 package lang
 
 // Tests pinning the register-bytecode back-end against the closure
-// interpreter: the two must agree bit-for-bit on field contents, cout output
-// and error surfaces for every program either can run.
+// interpreter oracle (closure_test.go): the two must agree bit-for-bit on
+// field contents, cout output and error surfaces for every program either
+// can run.
 
 import (
 	"fmt"
@@ -12,22 +13,101 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/runtime"
 )
 
+// anyPrograms hold values whose kind is only known at run time: an Any array
+// local mixing element kinds, element and whole fetches from an Any field,
+// and an Any block variable under compound assignment and the builtins. The
+// lowering accesses all of them through boxed registers.
+var anyPrograms = map[string]string{
+	"any-array": `any[] out;
+k:
+  local any[] r;
+  %{
+    put(r, 3, 0);
+    put(r, 2.5, 1);
+    put(r, "s", 2);
+    put(r, get(r, 0) + get(r, 1), 3);
+    put(r, get(r, 2) + get(r, 0), 4);
+    put(r, get(r, 0) * 7 - get(r, 0) / 2, 5);
+    for (int i = 0; i < extent(r, 0); ++i) { cout << get(r, i) << " "; }
+    cout << (get(r, 0) < get(r, 1)) << endl;
+  %}
+  store out(0) = r;`,
+	"any-field": `any[] src;
+any[] elems;
+float64[] sums;
+seed:
+  local any[] v;
+  %{ put(v, 4, 0); put(v, 1.5, 1); put(v, "x", 2); put(v, 0 - 9, 3); %}
+  store src(0) = v;
+elem:
+  index x;
+  local int32 e;
+  local any d;
+  fetch e = src(0)[x];
+  %{
+    d = e + 1;
+    e += 2;
+    cout << "elem " << x << " " << e << " " << d << endl;
+  %}
+  store elems(0)[x] = d;
+whole:
+  local any[] w;
+  local float64[] s;
+  fetch w = src(0);
+  %{
+    put(s, get(w, 0) + get(w, 1), 0);
+    put(s, abs(get(w, 3)), 1);
+    cout << "whole " << extent(w, 0) << " " << get(w, 2) + get(w, 0) << endl;
+  %}
+  store sums(0) = s;`,
+	"any-var": `float64[] out;
+k:
+  local float64[] r;
+  local any acc;
+  %{
+    any v = 3;
+    v += 2;
+    cout << v << " ";
+    v += 0.5;
+    cout << v << " ";
+    any m = min(v, 4);
+    any n = abs(0 - v);
+    any q = max(m, "z");
+    acc = v;
+    acc -= 1;
+    v++;
+    cout << m << " " << n << " " << q << " " << acc << " " << v << endl;
+    put(r, v, 0);
+    put(r, m, 1);
+    put(r, n, 2);
+    put(r, acc, 3);
+  %}
+  store out(0) = r;`,
+}
+
 // TestBytecodeNoFallbackOnTestdata asserts that every kernel of every
-// testdata program lowers to bytecode — the testdata corpus is the coverage
-// floor for the lowering.
+// testdata program, and of the Any programs, lowers to bytecode.
 func TestBytecodeNoFallbackOnTestdata(t *testing.T) {
+	srcs := map[string]string{}
 	for _, name := range []string{"mulsum", "kmeans", "wavefront", "dctstats"} {
-		listings, err := Disassemble(name, readTestdata(t, name+".p2g"))
+		srcs[name] = readTestdata(t, name+".p2g")
+	}
+	for name, src := range anyPrograms {
+		srcs[name] = src
+	}
+	for name, src := range srcs {
+		listings, err := Disassemble(name, src)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, l := range listings {
 			if l.Fallback {
-				t.Errorf("%s: kernel %s fell back to closure: %s", name, l.Kernel, l.FallbackReason)
+				t.Errorf("%s: kernel %s reports a fallback", name, l.Kernel)
 			} else if l.Instructions == 0 {
 				t.Errorf("%s: kernel %s lowered to zero instructions", name, l.Kernel)
 			}
@@ -35,42 +115,65 @@ func TestBytecodeNoFallbackOnTestdata(t *testing.T) {
 	}
 }
 
-// equivRun compiles src with the given back-end, runs it and returns the node
-// (for snapshots) plus the captured cout output.
-func equivRun(t *testing.T, name, src string, be Backend, opts runtime.Options) (*runtime.Node, string) {
+// compileFunc is Compile or the closure oracle compileClosure.
+type compileFunc func(name, src string) (*core.Program, error)
+
+// equivRun compiles src with compile, runs it and returns the node (for
+// snapshots) plus the captured cout output, one sorted entry per kernel
+// instance.
+func equivRun(t *testing.T, name, src string, compile compileFunc, opts runtime.Options) (*runtime.Node, string) {
 	t.Helper()
-	prog, err := CompileOptions(name, src, Options{Backend: be})
+	prog, err := compile(name, src)
 	if err != nil {
-		t.Fatalf("%s backend %d: compile: %v", name, be, err)
+		t.Fatalf("%s: compile: %v", name, err)
 	}
-	var out strings.Builder
+	var out instanceOutput
 	opts.Output = &out
 	node, err := runtime.NewNode(prog, opts)
 	if err != nil {
-		t.Fatalf("%s backend %d: node: %v", name, be, err)
+		t.Fatalf("%s: node: %v", name, err)
 	}
 	rep, err := node.Run()
 	if err != nil {
-		t.Fatalf("%s backend %d: run: %v", name, be, err)
+		t.Fatalf("%s: run: %v", name, err)
 	}
 	if len(rep.Stalled) > 0 {
-		t.Fatalf("%s backend %d: stalled: %v", name, be, rep.Stalled)
+		t.Fatalf("%s: stalled: %v", name, rep.Stalled)
 	}
-	return node, out.String()
+	sort.Strings(out.chunks)
+	return node, fmt.Sprintf("%q", out.chunks)
 }
 
-// sortedLines canonicalizes multi-worker cout output, whose interleaving is
-// scheduler-dependent but whose line set is not.
-func sortedLines(s string) []string {
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	sort.Strings(lines)
-	return lines
+// instanceOutput records cout output per kernel instance: the runtime writes
+// each instance's output in one Write call. The order in which instances of
+// different ages run is up to the scheduler, even with a single worker, so
+// runs are compared on the sorted instance outputs; within an instance the
+// output is compared byte for byte.
+type instanceOutput struct{ chunks []string }
+
+func (o *instanceOutput) Write(p []byte) (int, error) {
+	o.chunks = append(o.chunks, string(p))
+	return len(p), nil
+}
+
+// describe renders a snapshot with the kind of every element, so elements
+// that print alike but differ in kind do not compare equal.
+func describe(a *field.Array) string {
+	if a == nil {
+		return "<nil>"
+	}
+	var b strings.Builder
+	b.WriteString(a.String())
+	for i := 0; i < a.Len(); i++ {
+		fmt.Fprintf(&b, " %v", a.AtFlat(i).Kind())
+	}
+	return b.String()
 }
 
 // TestBytecodeClosureEquivalence is the randomized stress gate: every
-// testdata program runs under both back-ends with randomized worker counts,
-// and fields must match bit-for-bit at every age while cout output matches
-// line-for-line.
+// testdata program and every Any program runs under Compile and the closure
+// oracle with randomized worker counts, and fields must match bit-for-bit at
+// every age while every instance's cout output matches byte for byte.
 func TestBytecodeClosureEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -81,23 +184,25 @@ func TestBytecodeClosureEquivalence(t *testing.T) {
 		{"kmeans", runtime.Options{KernelMaxAge: map[string]int{"assign": 4, "refine": 4, "print": 5}}, 5},
 		{"wavefront", runtime.Options{}, 2},
 		{"dctstats", runtime.Options{}, 2},
+		{"any-array", runtime.Options{}, 0},
+		{"any-field", runtime.Options{}, 0},
+		{"any-var", runtime.Options{}, 0},
 	}
 	rng := rand.New(rand.NewSource(0x9901))
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			src := readTestdata(t, tc.name+".p2g")
+			src, ok := anyPrograms[tc.name]
+			if !ok {
+				src = readTestdata(t, tc.name+".p2g")
+			}
 			for trial := 0; trial < 3; trial++ {
 				opts := tc.opts
 				opts.Workers = 1 + rng.Intn(8)
-				bcNode, bcOut := equivRun(t, tc.name, src, BackendBytecode, opts)
-				clNode, clOut := equivRun(t, tc.name, src, BackendClosure, opts)
-				if opts.Workers == 1 {
-					if bcOut != clOut {
-						t.Fatalf("workers=1 output diverged:\nbytecode: %q\nclosure:  %q", bcOut, clOut)
-					}
-				} else if bc, cl := sortedLines(bcOut), sortedLines(clOut); fmt.Sprint(bc) != fmt.Sprint(cl) {
-					t.Fatalf("workers=%d output line sets diverged:\nbytecode: %q\nclosure:  %q", opts.Workers, bc, cl)
+				bcNode, bcOut := equivRun(t, tc.name, src, Compile, opts)
+				clNode, clOut := equivRun(t, tc.name, src, compileClosure, opts)
+				if bcOut != clOut {
+					t.Fatalf("workers=%d output diverged:\nbytecode: %s\nclosure:  %s", opts.Workers, bcOut, clOut)
 				}
 				prog, err := Compile(tc.name, src)
 				if err != nil {
@@ -113,9 +218,9 @@ func TestBytecodeClosureEquivalence(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if !bs.Equal(cs) {
-							t.Fatalf("workers=%d field %s(%d) diverged:\nbytecode: %v\nclosure:  %v",
-								opts.Workers, fd.Name, age, bs, cs)
+						if !bs.Equal(cs) || describe(bs) != describe(cs) {
+							t.Fatalf("workers=%d field %s(%d) diverged:\nbytecode: %s\nclosure:  %s",
+								opts.Workers, fd.Name, age, describe(bs), describe(cs))
 						}
 					}
 				}
@@ -125,7 +230,8 @@ func TestBytecodeClosureEquivalence(t *testing.T) {
 }
 
 // TestBytecodeRuntimeErrorParity runs programs whose kernels fail at run
-// time and checks both back-ends surface the identical error string.
+// time and checks Compile and the closure oracle surface the identical error
+// string.
 func TestBytecodeRuntimeErrorParity(t *testing.T) {
 	cases := map[string]string{
 		"int-div-zero": `int32[] out;
@@ -181,18 +287,18 @@ k:
 	for name, src := range cases {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
-			errFor := func(be Backend) string {
-				prog, err := CompileOptions(name, src, Options{Backend: be})
+			errFor := func(compile compileFunc) string {
+				prog, err := compile(name, src)
 				if err != nil {
 					t.Fatalf("compile: %v", err)
 				}
 				_, err = runtime.Run(prog, runtime.Options{Workers: 1})
 				if err == nil {
-					t.Fatalf("backend %d: expected runtime error", be)
+					t.Fatal("expected runtime error")
 				}
 				return err.Error()
 			}
-			bc, cl := errFor(BackendBytecode), errFor(BackendClosure)
+			bc, cl := errFor(Compile), errFor(compileClosure)
 			if bc != cl {
 				t.Errorf("error surfaces diverged:\nbytecode: %s\nclosure:  %s", bc, cl)
 			}

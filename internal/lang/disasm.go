@@ -3,55 +3,38 @@ package lang
 // Disassembly of the bytecode back-end for p2gc -disasm and the -check
 // report.
 
-// Listing is the lowering result for one kernel: either an annotated bytecode
-// listing or a fallback notice when the kernel keeps the closure interpreter.
+import "repro/internal/core"
+
+// Listing is the lowering result for one kernel: an annotated bytecode
+// listing.
 type Listing struct {
-	Kernel         string
-	Fallback       bool   // kernel could not be lowered; closure body is used
-	FallbackReason string // why, when Fallback is true
-	Instructions   int    // bytecode length (0 on fallback)
-	Text           string // annotated listing (empty on fallback)
+	Kernel string
+	// Fallback is always false: every kernel Compile accepts is lowered to
+	// bytecode. It is kept for callers that count fallback kernels.
+	Fallback     bool
+	Instructions int    // bytecode length
+	Text         string // annotated listing
 }
 
-// Disassemble compiles kernel-language source and returns per-kernel bytecode
-// listings. Compile errors are reported exactly as Compile reports them.
+// Disassemble compiles kernel-language source exactly as Compile does and
+// returns per-kernel bytecode listings in declaration order. It fails with
+// the error Compile would return.
 func Disassemble(name, src string) ([]Listing, error) {
-	file, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	fields := map[string]FieldDecl{}
-	for _, fd := range file.Fields {
-		if _, dup := fields[fd.Name]; dup {
-			return nil, errAt(fd.Tok, "duplicate field %q", fd.Name)
-		}
-		fields[fd.Name] = fd
-	}
-	timers := map[string]bool{}
-	for _, td := range file.Timers {
-		timers[td.Name] = true
-	}
-	out := make([]Listing, 0, len(file.Kernels))
-	for i := range file.Kernels {
-		kd := &file.Kernels[i]
-		// Surface the same compile errors as the real compile.
-		if _, err := compileKernelBody(kd, timers); err != nil {
+	var out []Listing
+	_, err := compile(name, src, func(k *KernelDef, timers map[string]bool, fields map[string]FieldDecl) (func(*core.Ctx) error, error) {
+		bp, err := lowerKernelBody(k, timers, fields)
+		if err != nil {
 			return nil, err
 		}
-		bp, lerr := lowerKernelBody(kd, timers, fields)
-		if lerr != nil {
-			out = append(out, Listing{Kernel: kd.Name, Fallback: true, FallbackReason: lerr.Error()})
-			continue
-		}
-		names := make([]string, len(kd.Locals))
-		for j, l := range kd.Locals {
+		names := make([]string, len(k.Locals))
+		for j, l := range k.Locals {
 			names[j] = l.Name
 		}
-		out = append(out, Listing{
-			Kernel:       kd.Name,
-			Instructions: len(bp.code),
-			Text:         bp.disasm(names),
-		})
+		out = append(out, Listing{Kernel: k.Name, Instructions: len(bp.code), Text: bp.disasm(names)})
+		return bp.body(), nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -3,12 +3,54 @@ package lang
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/runtime"
 )
+
+// addFuzzSeeds seeds a fuzz target with the testdata programs and the
+// TestCompileErrors sources.
+func addFuzzSeeds(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.p2g"))
+	if err != nil || len(paths) == 0 {
+		f.Fatalf("no testdata programs: %v", err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(data))
+	}
+	for _, tc := range compileErrorCases {
+		f.Add(tc.src)
+	}
+}
+
+// FuzzParse: the lexer and parser never panic.
+func FuzzParse(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		_, _ = Parse(src)
+	})
+}
+
+// FuzzCompile: Compile never panics and accepts exactly the programs the
+// closure oracle accepts, failing with the same first error.
+func FuzzCompile(f *testing.F) {
+	addFuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, src string) {
+		_, err := Compile("fuzz", src)
+		_, oerr := compileClosure("fuzz", src)
+		if fmt.Sprint(err) != fmt.Sprint(oerr) {
+			t.Fatalf("compile errors diverged\nCompile: %v\noracle:  %v\nprogram:\n%s", err, oerr, src)
+		}
+	})
+}
 
 // Property: the lexer and parser never panic — arbitrary byte soup either
 // parses or returns a positioned error.
@@ -78,12 +120,14 @@ func TestFragmentsRunSafely(t *testing.T) {
 	}
 }
 
-// ---- differential fuzz: bytecode vs closure -------------------------------
+// ---- differential fuzz: bytecode vs the closure oracle ---------------------
 
 // exprGen builds random, always-parseable kernel-body expressions over a
-// fixed set of declared locals. Generated programs may fail at run time
-// (division by zero, sqrt of a negative) — that is part of the property: both
-// back-ends must fail identically.
+// fixed set of declared locals: typed scalars, the array r of the field's
+// kind, and the Any variable a0 and Any array ra, which the lowering keeps in
+// boxed registers. Generated programs may fail at run time (division by
+// zero, sqrt of a negative, arithmetic on strings) — that is part of the
+// property: Compile and the oracle must fail identically.
 type exprGen struct {
 	rng *rand.Rand
 }
@@ -148,6 +192,45 @@ func (g *exprGen) floatExpr(depth int) string {
 	}
 }
 
+// anyExpr yields a value of dynamic kind: the Any variable, an element of
+// the Any array, or an operation with one of them as an operand.
+func (g *exprGen) anyExpr(depth int) string {
+	if depth <= 0 || g.rng.Intn(3) == 0 {
+		if g.rng.Intn(2) == 0 {
+			return "a0"
+		}
+		return "get(ra, " + fmt.Sprint(g.rng.Intn(4)) + ")"
+	}
+	switch g.rng.Intn(6) {
+	case 0:
+		return "(" + g.anyExpr(depth-1) + " " + g.pick(genIntOps) + " " + g.intExpr(depth-1) + ")"
+	case 1:
+		return "(" + g.floatExpr(depth-1) + " " + g.pick(genFloatOps) + " " + g.anyExpr(depth-1) + ")"
+	case 2:
+		return "min(" + g.anyExpr(depth-1) + ", " + g.intExpr(depth-1) + ")"
+	case 3:
+		return "max(" + g.floatExpr(depth-1) + ", " + g.anyExpr(depth-1) + ")"
+	case 4:
+		return "abs(" + g.anyExpr(depth-1) + ")"
+	default:
+		return "(0 - " + g.anyExpr(depth-1) + ")"
+	}
+}
+
+// valueExpr yields an expression of any static kind.
+func (g *exprGen) valueExpr(depth int) string {
+	switch g.rng.Intn(4) {
+	case 0:
+		return g.intExpr(depth)
+	case 1:
+		return g.floatExpr(depth)
+	case 2:
+		return g.strExpr(depth)
+	default:
+		return g.anyExpr(depth)
+	}
+}
+
 func (g *exprGen) strExpr(depth int) string {
 	if depth <= 0 || g.rng.Intn(2) == 0 {
 		if g.rng.Intn(2) == 0 {
@@ -164,7 +247,15 @@ func (g *exprGen) strExpr(depth int) string {
 // stmt emits one random statement; loops are always bounded so every
 // generated program terminates.
 func (g *exprGen) stmt(b *strings.Builder, depth int) {
-	switch g.rng.Intn(10) {
+	switch g.rng.Intn(14) {
+	case 10:
+		fmt.Fprintf(b, "a0 = %s;\n", g.valueExpr(2))
+	case 11:
+		fmt.Fprintf(b, "a0 %s= %s;\n", g.pick([]string{"+", "-", "*"}), g.valueExpr(1))
+	case 12:
+		fmt.Fprintf(b, "put(ra, %s, %d);\n", g.valueExpr(2), g.rng.Intn(4))
+	case 13:
+		fmt.Fprintf(b, "cout << %s << \" \" << a0 << endl;\n", g.anyExpr(2))
 	case 0:
 		fmt.Fprintf(b, "%s = %s;\n", g.pick(genIntVars), g.intExpr(2))
 	case 1:
@@ -210,27 +301,29 @@ func (g *exprGen) stmt(b *strings.Builder, depth int) {
 }
 
 // genProgram builds a complete run-once program whose result surface is the
-// field f plus whatever cout produced.
+// fields f and g plus whatever cout produced.
 func (g *exprGen) genProgram() string {
 	kinds := []string{"int32", "float64"}
 	kind := kinds[g.rng.Intn(len(kinds))]
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s[] f;\nk:\n  local %s[] r;\n  %%{\n", kind, kind)
+	fmt.Fprintf(&b, "%s[] f;\nany[] g;\nk:\n  local %s[] r;\n  local any[] ra;\n  %%{\n", kind, kind)
 	b.WriteString("int i0 = 1; int i1 = -3; int i2 = 7;\n")
 	b.WriteString("float f0 = 0.5; float f1 = 2.25;\n")
 	b.WriteString("string s0 = \"x\";\n")
+	b.WriteString("any a0 = 2;\n")
+	b.WriteString("put(ra, 1, 0); put(ra, 0.5, 1); put(ra, \"y\", 2); put(ra, a0, 3);\n")
 	n := 3 + g.rng.Intn(10)
 	for j := 0; j < n; j++ {
 		g.stmt(&b, 2)
 	}
 	b.WriteString("put(r, i0 + i1 + i2, 0);\n")
-	b.WriteString("%}\n  store f(0) = r;\n")
+	b.WriteString("%}\n  store f(0) = r;\n  store g(0) = ra;\n")
 	return b.String()
 }
 
-// TestDifferentialFuzzBackends generates random programs and requires the
-// bytecode and closure back-ends to agree exactly: same compile result, same
-// runtime error (or none), same cout bytes, and bit-identical field contents.
+// TestDifferentialFuzzBackends generates random programs and requires Compile
+// and the closure oracle to agree exactly: same compile result, same runtime
+// error (or none), same cout bytes, and bit-identical field contents.
 func TestDifferentialFuzzBackends(t *testing.T) {
 	iters := 150
 	if testing.Short() {
@@ -239,8 +332,8 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 	g := &exprGen{rng: rand.New(rand.NewSource(0x2909))}
 	for i := 0; i < iters; i++ {
 		src := g.genProgram()
-		run := func(be Backend) (string, string, string) {
-			prog, err := CompileOptions("fuzz", src, Options{Backend: be})
+		run := func(compile compileFunc) (string, string, string) {
+			prog, err := compile("fuzz", src)
 			if err != nil {
 				t.Fatalf("iter %d: compile: %v\n%s", i, err, src)
 			}
@@ -256,16 +349,18 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 			}
 			snap := ""
 			if rerr == nil {
-				s, serr := node.Snapshot("f", 0)
-				if serr != nil {
-					t.Fatalf("iter %d: snapshot: %v", i, serr)
+				for _, name := range []string{"f", "g"} {
+					s, serr := node.Snapshot(name, 0)
+					if serr != nil {
+						t.Fatalf("iter %d: snapshot %s: %v", i, name, serr)
+					}
+					snap += name + "=" + describe(s) + " "
 				}
-				snap = fmt.Sprint(s)
 			}
 			return errStr, out.String(), snap
 		}
-		bcErr, bcOut, bcSnap := run(BackendBytecode)
-		clErr, clOut, clSnap := run(BackendClosure)
+		bcErr, bcOut, bcSnap := run(Compile)
+		clErr, clOut, clSnap := run(compileClosure)
 		if bcErr != clErr {
 			t.Fatalf("iter %d: error surfaces diverged\nbytecode: %q\nclosure:  %q\nprogram:\n%s", i, bcErr, clErr, src)
 		}
@@ -273,7 +368,7 @@ func TestDifferentialFuzzBackends(t *testing.T) {
 			t.Fatalf("iter %d: cout diverged\nbytecode: %q\nclosure:  %q\nprogram:\n%s", i, bcOut, clOut, src)
 		}
 		if bcSnap != clSnap {
-			t.Fatalf("iter %d: field f diverged\nbytecode: %s\nclosure:  %s\nprogram:\n%s", i, bcSnap, clSnap, src)
+			t.Fatalf("iter %d: fields diverged\nbytecode: %s\nclosure:  %s\nprogram:\n%s", i, bcSnap, clSnap, src)
 		}
 	}
 }

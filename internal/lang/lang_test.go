@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -240,41 +241,76 @@ func TestCompileKMeans(t *testing.T) {
 	}
 }
 
-func TestCompileErrors(t *testing.T) {
-	cases := map[string]string{
-		"dup-field": "int32[] f age;\nint32[] f age;\nk:\n age a;",
-		"wrong-age-var": `int32[] f age;
+// compileErrorCases are programs Compile must reject, each with its exact
+// diagnostic; they also seed FuzzCompile.
+var compileErrorCases = []struct {
+	name, src, want string
+}{
+	{"dup-field", "int32[] f age;\nint32[] f age;\nk:\n age a;", `2:1: duplicate field "f"`},
+	{"wrong-age-var", `int32[] f age;
 k:
   age a;
   index x;
   local int32 v;
-  fetch v = f(b)[x];`,
-		"unknown-index": `int32[] f age;
+  fetch v = f(b)[x];`, `6:15: age expression uses "b" but kernel k declares age variable "a"`},
+	{"unknown-index", `int32[] f age;
 k:
   age a;
   local int32 v;
-  fetch v = f(a)[x];`,
-		"undefined-var":  "int32[] f age;\nk:\n %{ x = 3; %}",
-		"read-undefined": "int32[] f age;\nk:\n %{ int y = zzz; %}",
-		"assign-to-age":  "int32[] f age;\nk:\n age a;\n index x;\n local int32 v;\n fetch v = f(a)[x];\n %{ a = 3; %}",
-		"put-non-array":  "int32[] f age;\nk:\n local int32 v;\n %{ put(v, 1, 0); %}",
-		"get-non-array":  "int32[] f age;\nk:\n local int32 v;\n %{ int z = get(v, 0); %}",
-		"unknown-func":   "int32[] f age;\nk:\n %{ int z = frob(1); %}",
-		"redeclared":     "int32[] f age;\nk:\n %{ int i = 0; int i = 1; %}",
-		"array-expr":     "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = arr + 1; %}",
-		"timer-compound": `timer t1;
+  fetch v = f(a)[x];`, `5:18: index "x" is not an index variable of kernel k`},
+	{"undefined-var", "int32[] f age;\nk:\n %{ x = 3; %}", `3:5: undefined variable "x"`},
+	{"read-undefined", "int32[] f age;\nk:\n %{ int y = zzz; %}", `3:13: undefined variable "zzz"`},
+	{"assign-to-age", "int32[] f age;\nk:\n age a;\n index x;\n local int32 v;\n fetch v = f(a)[x];\n %{ a = 3; %}", `7:5: "a" is read-only`},
+	{"put-non-array", "int32[] f age;\nk:\n local int32 v;\n %{ put(v, 1, 0); %}", `4:5: put: "v" is not an array local`},
+	{"get-non-array", "int32[] f age;\nk:\n local int32 v;\n %{ int z = get(v, 0); %}", `4:13: get: "v" is not an array local`},
+	{"unknown-func", "int32[] f age;\nk:\n %{ int z = frob(1); %}", `3:13: unknown function "frob"`},
+	{"redeclared", "int32[] f age;\nk:\n %{ int i = 0; int i = 1; %}", `3:16: variable "i" redeclared in the same scope`},
+	{"array-expr", "int32[] f age;\nk:\n local int32[] arr;\n %{ int z = arr + 1; %}", `4:13: array "arr" must be accessed with get()/put()/extent()`},
+	{"timer-compound", `timer t1;
 int32[] f age;
 k:
-  %{ t1 += 3; %}`,
-		"timer-bad-rhs": `timer t1;
+  %{ t1 += 3; %}`, `4:6: timers only support plain assignment`},
+	{"timer-bad-rhs", `timer t1;
 int32[] f age;
 k:
-  %{ t1 = 5; %}`,
-		"expired-non-timer": "int32[] f age;\nk:\n %{ int z = 0; if (expired(z, 10)) { z = 1; } %}",
+  %{ t1 = 5; %}`, "4:6: timers can only be assigned `now`"},
+	{"expired-non-timer", "int32[] f age;\nk:\n %{ int z = 0; if (expired(z, 10)) { z = 1; } %}", `3:20: expired: "z" is not a declared timer`},
+	// Compound assignment reports the right side's errors before the
+	// target's.
+	{"compound-age-undefined-rhs", "int32[] f age;\nk:\n age a;\n %{\n a += zz;\n %}", `5:7: undefined variable "zz"`},
+	{"compound-undefined-both", "int32[] f age;\nk:\n %{ q += zz; %}", `3:10: undefined variable "zz"`},
+	{"compound-array-undefined-rhs", "int32[] f age;\nk:\n local int32[] arr;\n %{ arr += zz; %}", `4:12: undefined variable "zz"`},
+	// A for loop's post clause is checked before its body.
+	{"for-post-before-body", "int32[] f age;\nk:\n %{ for (int i = 0; i < 3; i += pp) { int z = bb; } %}", `3:33: undefined variable "pp"`},
+	{"for-post-declaration", "int32[] f age;\nk:\n %{ for (int i = 0; i < 3; int j = 1) { i++; } %}", `3:28: for-loop post clause cannot declare "j"`},
+	// Rejected by program validation after every body compiled.
+	{"whole-fetch-into-scalar", "int32[] f;\nk:\n local int32 v;\n fetch v = f(0);\n %{ v = 1; %}", `p2g: kernel "k": fetch v = f(0);: whole-field fetch into rank-0 local (field rank 1)`},
+}
+
+func TestCompileErrors(t *testing.T) {
+	for _, tc := range compileErrorCases {
+		_, err := Compile(tc.name, tc.src)
+		if err == nil {
+			t.Errorf("%s: expected compile error %q", tc.name, tc.want)
+			continue
+		}
+		if err.Error() != tc.want {
+			t.Errorf("%s: error = %q, want %q", tc.name, err, tc.want)
+		}
+		if _, oerr := compileClosure(tc.name, tc.src); oerr == nil || oerr.Error() != err.Error() {
+			t.Errorf("%s: closure oracle error = %v, want %q", tc.name, oerr, err)
+		}
 	}
-	for name, src := range cases {
-		if _, err := Compile(name, src); err == nil {
-			t.Errorf("%s: expected compile error", name)
+}
+
+// TestDisassembleMatchesCompile checks Disassemble rejects exactly what
+// Compile rejects, with the same error.
+func TestDisassembleMatchesCompile(t *testing.T) {
+	for _, tc := range compileErrorCases {
+		_, cerr := Compile(tc.name, tc.src)
+		_, derr := Disassemble(tc.name, tc.src)
+		if fmt.Sprint(cerr) != fmt.Sprint(derr) {
+			t.Errorf("%s: Disassemble error = %v, Compile error = %v", tc.name, derr, cerr)
 		}
 	}
 }

@@ -2,25 +2,21 @@ package lang
 
 // Lowering from the code-block AST to register bytecode (bytecode.go).
 //
-// The lowering runs only after compileKernelBody has accepted the kernel, so
-// every compile-time error path in here is defensive: a failure aborts the
-// lowering (via panic/recover) and CompileFileOptions silently falls back to
-// the closure body, which is correct by construction. The invariants the
-// lowering maintains:
+// The lowering is the only back-end and the only compile-time check of the
+// code blocks: every diagnostic a kernel body can produce is raised here
+// (via panic/recover, see lowerFail) in source order, and every kernel
+// Compile accepts runs on the VM. The invariants the lowering maintains:
 //
 //   - Typed registers always hold canonical payloads for their static kind
 //     (the same representation Value.Convert produces), so re-boxing with
 //     field.IntValOf/FloatValOf/StrValOf is exact.
-//   - Any value whose kind cannot be pinned at compile time lives in a boxed
-//     V register, and all arithmetic on it goes through opArithV, which calls
-//     the interpreter's own arith() — dynamic-kind semantics cannot drift.
+//   - Any value whose kind cannot be pinned at compile time — Any variables
+//     and arrays, fetches from Any fields, mixed-kind min/max — lives in a
+//     boxed V register, and all arithmetic on it goes through opArithV,
+//     which calls arith() — dynamic-kind semantics cannot drift.
 //   - Variable registers are allocated monotonically and never reclaimed on
-//     scope pop (mirroring the interpreter's slot numbering); temporaries
-//     restart at the variable watermark at each statement.
-//
-// Locals whose runtime kind cannot be pinned (fetches from Any fields, whole
-// or slab fetches into scalars) make the lowering fail rather than guess;
-// those kernels keep the closure body.
+//     scope pop; temporaries restart at the variable watermark at each
+//     statement.
 
 import (
 	"fmt"
@@ -66,7 +62,21 @@ type lslot struct {
 	reg  int32
 }
 
-// lref classifies a resolved identifier, mirroring kcompiler.resolve.
+// varKind classifies an identifier during lowering.
+type varKind uint8
+
+const (
+	vUnknown varKind = iota
+	vSlot            // block-local variable
+	vLocal           // kernel scalar local
+	vArray           // kernel array local
+	vAge             // kernel age variable
+	vIndex           // kernel index variable
+	vTimer           // global timer
+	vEndl            // the endl stream manipulator
+)
+
+// lref classifies a resolved identifier.
 type lref struct {
 	kind varKind
 	slot lslot
@@ -99,8 +109,8 @@ type lowerer struct {
 }
 
 // lowerKernelBody lowers one kernel's code blocks to bytecode. Any failure —
-// explicit or an unexpected panic — is returned as an error so the caller can
-// fall back to the closure interpreter.
+// a diagnostic or an unexpected panic — is returned as an error, so Compile
+// never panics.
 func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]FieldDecl) (p *bcProg, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -132,56 +142,27 @@ func lowerKernelBody(k *KernelDef, timers map[string]bool, fields map[string]Fie
 
 // classifyLocals decides the register class used to access each kernel local.
 // A local stays typed only when every value the runtime can install in it has
-// the declared kind with a canonical payload; otherwise it is accessed boxed,
-// and shapes the lowering cannot represent at all (array values flowing into
-// scalar registers) abort the lowering.
+// the declared kind with a canonical payload; otherwise it is accessed boxed.
 func (lo *lowerer) classifyLocals(fields map[string]FieldDecl) {
 	lo.localCl = make([]regClass, len(lo.k.Locals))
 	for li := range lo.k.Locals {
 		l := &lo.k.Locals[li]
 		cl := kindClass(l.Kind)
-		if l.Rank > 0 {
-			// Array locals: the class selects typed vs boxed element access.
-			// String arrays must stay boxed (unset elements read as Invalid),
-			// and Any arrays could hold array-valued elements, which typed
-			// registers cannot represent.
-			if l.Kind == field.Any {
-				lo.failf(l.Tok, "local %q: Any arrays are not lowered", l.Name)
-			}
-			if l.Kind == field.String {
-				cl = clV
-			}
+		if l.Rank > 0 && l.Kind == field.String {
+			// Unset elements of string arrays read as Invalid values.
+			cl = clV
 		}
 		for _, f := range lo.k.Fetches {
 			if f.Local != l.Name {
 				continue
 			}
+			// A fetch from a field of another kind (Any fields included)
+			// installs values of that kind, and string fields report unset
+			// elements as Invalid; only a boxed register preserves either.
+			// Undeclared fields and fetches of the wrong rank are rejected
+			// when the program is built.
 			fd, ok := fields[f.Ref.Field]
-			if !ok {
-				lo.failf(f.Tok, "fetch from undeclared field %q", f.Ref.Field)
-			}
-			if fd.Kind == field.Any {
-				// Any fields can hold values of every kind, including array
-				// values; keep the closure body.
-				lo.failf(f.Tok, "local %q: fetch from Any field is not lowered", l.Name)
-			}
-			if l.Rank == 0 {
-				// Whole-field and slab fetches install array values into the
-				// local, which no scalar register class can represent.
-				if f.Ref.Whole {
-					lo.failf(f.Tok, "local %q: whole-field fetch into scalar is not lowered", l.Name)
-				}
-				for _, ir := range f.Ref.Index {
-					if ir.All {
-						lo.failf(f.Tok, "local %q: slab fetch into scalar is not lowered", l.Name)
-					}
-				}
-				// String fields report unset elements as Invalid values,
-				// which only a boxed register preserves.
-				if fd.Kind != l.Kind || fd.Kind == field.String {
-					cl = clV
-				}
-			} else if fd.Kind != l.Kind {
+			if !ok || fd.Kind != l.Kind || (l.Rank == 0 && fd.Kind == field.String) {
 				cl = clV
 			}
 		}
@@ -211,8 +192,8 @@ func (lo *lowerer) clsPtrs(cl regClass) (vp, tp *int32, np *int) {
 	}
 }
 
-// varReg allocates a variable register: monotonic, never reclaimed, so a
-// variable's register outlives its scope exactly like an interpreter slot.
+// varReg allocates a variable register: monotonic, never reclaimed, so no
+// two variables ever share a register.
 func (lo *lowerer) varReg(cl regClass) int32 {
 	vp, tp, np := lo.clsPtrs(cl)
 	r := *vp
@@ -267,11 +248,45 @@ func (lo *lowerer) patch(pc int, target int32) {
 	if pc < 0 {
 		return
 	}
-	in := &lo.p.code[pc]
-	if in.op == opJmp {
-		in.a = target
-	} else {
-		in.b = target
+	*jumpTarget(&lo.p.code[pc]) = target
+}
+
+// jumpTarget returns the operand holding in's target, or nil when in is not a
+// jump.
+func jumpTarget(in *instr) *int32 {
+	switch in.op {
+	case opJmp:
+		return &in.a
+	case opJzI, opJnzI, opJzF, opJzV:
+		return &in.b
+	}
+	return nil
+}
+
+// detach lowers s out of line: its code is cut from the program and returned
+// with jump targets relative to its start, for attach to place later. Every
+// jump in it stays inside it, as s is lowered by stmtDiscard.
+func (lo *lowerer) detach(s Stmt) []instr {
+	start := len(lo.p.code)
+	lo.stmtDiscard(s)
+	code := append([]instr(nil), lo.p.code[start:]...)
+	lo.p.code = lo.p.code[:start]
+	for i := range code {
+		if t := jumpTarget(&code[i]); t != nil {
+			*t -= int32(start)
+		}
+	}
+	return code
+}
+
+// attach appends code returned by detach at the current position.
+func (lo *lowerer) attach(code []instr) {
+	base := lo.here()
+	for _, in := range code {
+		if t := jumpTarget(&in); t != nil {
+			*t += base
+		}
+		lo.p.code = append(lo.p.code, in)
 	}
 }
 
@@ -292,7 +307,7 @@ func (lo *lowerer) emitMov(cl regClass, dst, src int32) {
 }
 
 // emitRuntimeErr lowers an expression that unconditionally errors when
-// reached (the interpreter reports these lazily at runtime, e.g. `%` on
+// reached (the language reports these lazily at run time, e.g. `%` on
 // floats). Code after the opErr is unreachable; the dummy register keeps the
 // lowering well-formed.
 func (lo *lowerer) emitRuntimeErr(err error) lval {
@@ -300,9 +315,8 @@ func (lo *lowerer) emitRuntimeErr(err error) lval {
 	return lval{cl: clI, kind: field.Int64, reg: lo.tmp(clI)}
 }
 
-// resolve classifies an identifier with the same precedence as
-// kcompiler.resolve: block scopes innermost-first, kernel locals, the age
-// variable, index variables, timers, endl.
+// resolve classifies an identifier: block scopes innermost-first, kernel
+// locals, the age variable, index variables, timers, endl.
 func (lo *lowerer) resolve(name string) lref {
 	for i := len(lo.scopes) - 1; i >= 0; i-- {
 		if sl, ok := lo.scopes[i][name]; ok {
@@ -348,8 +362,8 @@ func (lo *lowerer) declare(tok Token, name string, k field.Kind) lslot {
 
 // ---- statements ----
 
-// stmtDiscard lowers a statement whose break/continue control is discarded by
-// the interpreter (top-level statements, for-loop init and post clauses):
+// stmtDiscard lowers a statement whose break/continue control is discarded
+// (top-level statements, for-loop init and post clauses):
 // loop controls inside it that escape any local loop jump to the end of the
 // statement, which is exactly "ctrl ignored, continue after it".
 func (lo *lowerer) stmtDiscard(s Stmt) {
@@ -367,7 +381,7 @@ func (lo *lowerer) stmt(s Stmt) {
 	switch st := s.(type) {
 	case DeclStmt:
 		// The initializer is lowered before the declaration, so `int x = x;`
-		// resolves the outer x exactly like the interpreter.
+		// resolves the outer x.
 		if st.Init != nil {
 			v := lo.expr(st.Init)
 			sl := lo.declare(st.Tok, st.Name, st.Kind)
@@ -427,15 +441,23 @@ func (lo *lowerer) stmt(s Stmt) {
 			c := lo.expr(st.Cond)
 			jf = lo.truthyJumpFalse(c)
 		}
+		// The post clause is lowered before the body, so diagnostics come in
+		// source order, and its code is moved after the body. Its
+		// temporaries may share registers with variables declared after it
+		// (in the body or later in an enclosing scope): none of those is
+		// live while the post clause runs, and each is set by its
+		// declaration before it is read.
+		var post []instr
+		if st.Post != nil {
+			lo.resetTmps()
+			post = lo.detach(st.Post)
+		}
 		lf := &loopFrame{}
 		lo.loops = append(lo.loops, lf)
 		lo.blockStmt(st.Body)
 		lo.loops = lo.loops[:len(lo.loops)-1]
 		postPos := lo.here()
-		if st.Post != nil {
-			lo.resetTmps()
-			lo.stmtDiscard(st.Post)
-		}
+		lo.attach(post)
 		lo.emit(opJmp, head, 0, 0, 0)
 		end := lo.here()
 		lo.patch(jf, end)
@@ -522,20 +544,18 @@ func (lo *lowerer) assign(st AssignStmt) {
 		lo.emit(opResetTimer, lo.p.timerConst(st.Name), 0, 0, 0)
 		return
 	}
-	if st.Op == "=" {
-		v := lo.expr(st.Val)
-		lo.writeVar(st.Tok, st.Name, ref, v)
-		return
+	// The right side is lowered first, so its diagnostics precede the
+	// target's. Reading the old value after it is unobservable: no
+	// expression writes a scalar variable.
+	v := lo.expr(st.Val)
+	if st.Op != "=" {
+		old := lo.readRef(st.Tok, st.Name, ref)
+		if ref.kind != vSlot && ref.kind != vLocal {
+			lo.failf(st.Tok, "cannot modify %q", st.Name)
+		}
+		v = lo.arithLower(st.Tok, st.Op[:1], old, v)
 	}
-	// Compound assignment: read the old value first, then evaluate the right
-	// side, then combine — the interpreter's rmw order.
-	old := lo.readRef(st.Tok, st.Name, ref)
-	if ref.kind != vSlot && ref.kind != vLocal {
-		lo.failf(st.Tok, "cannot modify %q", st.Name)
-	}
-	rhs := lo.expr(st.Val)
-	nv := lo.arithLower(st.Tok, st.Op[:1], old, rhs)
-	lo.writeVar(st.Tok, st.Name, ref, nv)
+	lo.writeVar(st.Tok, st.Name, ref, v)
 }
 
 func (lo *lowerer) incStmt(st IncStmt) {
@@ -751,8 +771,7 @@ func (lo *lowerer) unary(ex UnExpr) lval {
 	}
 }
 
-// shortCircuit lowers && and ||; the result is always Bool, like the
-// interpreter's BoolVal results.
+// shortCircuit lowers && and ||; the result is always Bool.
 func (lo *lowerer) shortCircuit(ex BinExpr) lval {
 	dst := lo.tmp(clI)
 	if ex.Op == "&&" {
@@ -869,10 +888,9 @@ func isCmpOp(op string) bool {
 	return false
 }
 
-// arithLower lowers a binary operator with the interpreter's arith()
-// promotion rules: strings first (+, ==, != only), then float promotion, then
-// int64. Any boxed operand routes through opArithV, which calls arith()
-// itself at runtime.
+// arithLower lowers a binary operator with arith()'s promotion rules: strings
+// first (+, ==, != only), then float promotion, then int64. Any boxed operand
+// routes through opArithV, which calls arith() itself at runtime.
 func (lo *lowerer) arithLower(tok Token, op string, l, r lval) lval {
 	if l.cl == clV || r.cl == clV {
 		lb := lo.toBoxed(l)
@@ -1284,7 +1302,7 @@ func (lo *lowerer) call(ex CallExpr) lval {
 	panic("unreachable")
 }
 
-// minMax lowers min/max with the interpreter's kind rules: float promotion if
+// minMax lowers min/max with the language's kind rules: float promotion if
 // either side is floating, otherwise the raw winning operand. The raw-operand
 // int path returns the operand itself (kind included), so mixed static kinds
 // must go through the boxed helper.

@@ -1,7 +1,7 @@
 // Package lang implements the P2G kernel language of the paper's figure 5:
 // a lexer, parser, semantic analysis and a compiler that lowers programs to
-// the core program model, with the C-like native code blocks executed by a
-// closure-compiled interpreter.
+// the core program model, with the C-like native code blocks lowered to
+// register bytecode run by a VM.
 //
 // The paper's prototype compiled kernel programs to C++ and linked the
 // native blocks with gcc; the language semantics — field and kernel

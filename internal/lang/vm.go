@@ -4,7 +4,7 @@ package lang
 // on per-invocation register files. Frames come from a per-kernel sync.Pool,
 // so steady-state body execution allocates nothing on the hot path (cold
 // paths — implicit array grow, boxed Any arithmetic, runtime errors — may
-// allocate, exactly like the closure interpreter they replicate).
+// allocate).
 
 import (
 	"fmt"
@@ -55,7 +55,7 @@ func (p *bcProg) body() func(*core.Ctx) error {
 
 // arr resolves the array local li through the frame cache. The first touch
 // goes through Ctx.LocalArray, which materializes the default and marks the
-// local bound with the same semantics as the interpreter's ctx.Array calls.
+// local bound with the same semantics as Ctx.Array.
 func (p *bcProg) arr(ctx *core.Ctx, fr *bcFrame, li int32) *field.Array {
 	a := fr.arrs[li]
 	if a == nil {
@@ -350,7 +350,7 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 			idx := ri[in.c : in.c+in.d]
 			off := a.FlatOffset64(idx)
 			if off < 0 {
-				a.At(coldIdx(idx)...) // panics with the interpreter's message
+				a.At(coldIdx(idx)...) // panics with Array.At's message
 			}
 			ri[in.a] = a.FlatGetInt(off)
 		case opGetF:
@@ -375,8 +375,8 @@ func (p *bcProg) exec(ctx *core.Ctx, fr *bcFrame) error {
 			if off := a.FlatOffset64(idx); off >= 0 {
 				a.FlatSetInt(off, ri[in.b])
 			} else {
-				// Grow, negative-index and rank-mismatch cases share the
-				// interpreter's boxed Put path (and its panics).
+				// Grow, negative-index and rank-mismatch cases take
+				// Array.Put's boxed path (and its panics).
 				a.Put(field.Int64Val(ri[in.b]), coldIdx(idx)...)
 			}
 		case opPutF:

@@ -364,6 +364,9 @@ func TestStoreFrameCorrupt(t *testing.T) {
 
 // frameEquivProg is a program whose kernels are all remote, mirroring the
 // master's shadow node: three versioned fields of different kinds and ranks.
+// fi has a producer at every age, so a shadow keeps any fi generation open
+// for further stores; a generation without producers is marked complete as
+// soon as the analyzer sees its first store.
 func frameEquivProg(t *testing.T) *core.Program {
 	t.Helper()
 	b := core.NewBuilder("frames")
@@ -371,7 +374,7 @@ func frameEquivProg(t *testing.T) *core.Program {
 	b.Field("ff", field.Float64, 2, true)
 	b.Field("fu", field.Uint8, 2, true)
 	nop := func(c *core.Ctx) error { return nil }
-	b.Kernel("s1").Local("v", field.Int32, 1).StoreAll("fi", core.AgeAt(0), "v").Body(nop)
+	b.Kernel("s1").Age("a").Local("v", field.Int32, 1).StoreAll("fi", core.AgeVar(0), "v").Body(nop)
 	b.Kernel("s2").Local("v", field.Float64, 2).StoreAll("ff", core.AgeAt(0), "v").Body(nop)
 	b.Kernel("s3").Local("v", field.Uint8, 2).StoreAll("fu", core.AgeAt(0), "v").Body(nop)
 	p, err := b.Build()

@@ -725,12 +725,25 @@ type workerState struct {
 	// timeSampleEvery, paced by tick.
 	timeAll bool
 	tick    uint
+	// mark is the worker's last stage stamp. With timeAll the stages tile
+	// the worker's clock: each starts at mark, so the bookkeeping between
+	// two stamps (metrics, batch handling, the flush) lands in a stage.
+	mark time.Time
 
 	// frames caches one checked-out execution frame per kernel (indexed by
 	// kernelState.idx) so consecutive dispatches skip the sync.Pool, whose
 	// dequeue CAS is measurable on the dispatch path. Frames return to their
 	// kernel's pool when the worker exits.
 	frames []*execFrame
+}
+
+// stageStart returns the first stamp of a stage: mark when every instance is
+// timed, the current time otherwise.
+func (w *workerState) stageStart() time.Time {
+	if w.timeAll && !w.mark.IsZero() {
+		return w.mark
+	}
+	return time.Now()
 }
 
 // timeSampleEvery is the uninstrumented dispatch path's timing sample rate:
@@ -816,14 +829,18 @@ func (n *Node) worker(id int) {
 	for {
 		b, ok := n.sched.TryPop(id)
 		if !ok {
-			w.flush()
-			if n.hIdle.enabled() {
-				// Blocked on an empty queue: the idle stage of the
-				// attribution report (worker-seconds not spent dispatching).
-				idleFrom := time.Now()
+			if w.timeAll {
+				// Out of work: the idle stage of the attribution report
+				// (worker-seconds not spent dispatching), from the last
+				// stamp through the flush that hands the analyzer this
+				// worker's events until the next batch arrives.
+				idleFrom := w.stageStart()
+				w.flush()
 				b, ok = n.sched.Pop(id)
-				n.hIdle.Observe(time.Since(idleFrom))
+				w.mark = time.Now()
+				n.hIdle.Observe(w.mark.Sub(idleFrom))
 			} else {
+				w.flush()
 				b, ok = n.sched.Pop(id)
 			}
 			if !ok {
@@ -854,7 +871,7 @@ func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
 	}
 	var t0 time.Time
 	if timed {
-		t0 = time.Now()
+		t0 = w.stageStart()
 	}
 
 	fr := w.frames[ks.idx]
@@ -993,8 +1010,22 @@ func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
 	ks.instances.Add(1)
 	ks.storeOps.Add(int64(stores))
 
+	// Hand the instance back before the last stamp, so the store stage covers
+	// the whole dispatch epilogue. The done event may reach the analyzer,
+	// which can recycle is, so read what the stamps need first.
+	readyNs, coords := is.readyNs, is.coords
+	done := event{isDone: true, t: t, inst: is, stores: stores, stopped: ctx.Stopped()}
+	w.emit(&done)
+	// The frame stays checked out in w.frames; drop the slab views (stores
+	// are applied, nothing reads the aliased generations anymore) and clear
+	// the context so the cached frame does not pin fetched values between
+	// dispatches.
+	fr.releaseViews()
+	fr.ctx.Reset(0, nil)
+
 	if timed {
 		t3 := time.Now()
+		w.mark = t3
 		ks.timedInsts.Add(1)
 		ks.dispatchNs.Add(int64(t1.Sub(t0) + t3.Sub(t2)))
 		ks.kernelNs.Add(int64(t2.Sub(t1)))
@@ -1011,18 +1042,20 @@ func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
 			// span timestamp, so queue wait is identical in both views.
 			ts := t0.Sub(n.clock).Nanoseconds()
 			wait := int64(0)
-			if is.readyNs > 0 && ts > is.readyNs {
-				wait = ts - is.readyNs
+			if readyNs > 0 && ts > readyNs {
+				wait = ts - readyNs
 			}
 			ks.stageQueue.Observe(time.Duration(wait))
 			ks.stageFetch.Observe(t1.Sub(t0))
 			ks.stageExec.Observe(t2.Sub(t1))
 			ks.stageStore.Observe(t3.Sub(t2))
 			if tr := n.tracer; tr != nil {
+				// With a tracer attached instances are never recycled, so
+				// coords is still intact.
 				tr.Record(obs.Span{
 					Name: kd.Name, Cat: "kernel", Ph: obs.PhaseComplete,
 					TS: ts, Dur: t3.Sub(t0).Nanoseconds(), TID: w.id + 1,
-					Age: t.age, Index: is.coords,
+					Age: t.age, Index: coords,
 					WaitNs:   wait,
 					FetchNs:  t1.Sub(t0).Nanoseconds(),
 					KernelNs: t2.Sub(t1).Nanoseconds(),
@@ -1031,15 +1064,6 @@ func (n *Node) exec(t *ageTracker, is *instState, w *workerState) {
 			}
 		}
 	}
-
-	done := event{isDone: true, t: t, inst: is, stores: stores, stopped: ctx.Stopped()}
-	w.emit(&done)
-	// The frame stays checked out in w.frames; drop the slab views (stores
-	// are applied, nothing reads the aliased generations anymore) and clear
-	// the context so the cached frame does not pin fetched values between
-	// dispatches.
-	fr.releaseViews()
-	fr.ctx.Reset(0, nil)
 }
 
 // runBody executes the kernel body, converting panics into errors so a buggy

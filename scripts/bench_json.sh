@@ -11,9 +11,12 @@
 #              frames, plus the frame encode     -> BENCH_transport.json
 #   obs        figure 9/10 workloads with observability off / metrics /
 #              full tracing (overhead A/B)          -> BENCH_obs.json
-#   lang       kernel-language back-end A/B: closure interpreter vs register
-#              bytecode vs native Go on three kernel bodies -> BENCH_lang.json
+#   lang       kernel-language bodies: register bytecode vs native Go on
+#              three kernel bodies                 -> BENCH_lang.json
 #   all        every suite
+#
+# Each document records the host it was measured on: commit, Go version,
+# GOOS/GOARCH, nproc and GOMAXPROCS.
 #
 # Usage: scripts/bench_json.sh [benchtime] [suite]   (default 1s scheduler)
 set -eu
@@ -21,6 +24,7 @@ cd "$(dirname "$0")/.."
 
 benchtime=${1:-1s}
 suite=${2:-scheduler}
+host="commit $(git describe --always --dirty 2>/dev/null || echo unknown), $(go env GOVERSION), $(go env GOOS)/$(go env GOARCH), nproc $(nproc), GOMAXPROCS ${GOMAXPROCS:-$(nproc)}"
 
 # emit <out> <bench regex> <packages...>: run the benchmarks and convert the
 # standard `go test -bench` output lines into a JSON document.
@@ -34,7 +38,7 @@ emit() {
 	go test -bench "$pattern" -benchtime="$benchtime" \
 		-benchmem -count=1 -run xxx "$@" | tee "$raw"
 
-	awk -v benchtime="$benchtime" '
+	awk -v benchtime="$benchtime" -v host="$host" '
 	BEGIN { n = 0 }
 	/^Benchmark/ {
 		name = $1; sub(/-[0-9]+$/, "", name)
@@ -57,6 +61,7 @@ emit() {
 	}
 	END {
 		print "{"
+		printf "  \"host\": \"%s\",\n", host
 		printf "  \"benchtime\": \"%s\",\n", benchtime
 		print "  \"benchmarks\": ["
 		for (i = 0; i < n; i++) printf "%s%s\n", bench[i], (i < n - 1 ? "," : "")
