@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt-check ci perfbench-check fuzz-lang test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json clean
+.PHONY: all build test race vet fmt-check ci perfbench-check fuzz-lang test-fault bench bench-mem bench-transport bench-obs bench-lang bench-full bench-json loc clean
 
 all: build
 
@@ -87,6 +87,11 @@ bench-full:
 # bench-json runs the scheduler benchmarks and emits BENCH_scheduler.json.
 bench-json:
 	scripts/bench_json.sh
+
+# loc prints the non-test Go line count outside the benchmark harness, the
+# figure simplicity changes report.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' | xargs cat | wc -l
 
 clean:
 	$(GO) clean ./...

@@ -348,7 +348,7 @@ func BenchmarkFieldFetchView(b *testing.B) {
 // BenchmarkFrameEncodeScatter measures building one store frame around a
 // chroma-frame payload. The scatter path records the slab as a raw segment
 // (no payload copy until the socket writev); the flatten sub-benchmark adds
-// the one contiguous copy a non-FrameConn transport would pay.
+// the one contiguous copy AppendTo pays.
 func BenchmarkFrameEncodeScatter(b *testing.B) {
 	a := field.NewArray(field.Int32, 396, 64)
 	for i := 0; i < a.Len(); i++ {
@@ -436,10 +436,8 @@ func runTransportMJPEG(frames int) (int64, error) {
 	}
 	var total int64
 	for _, c := range conns {
-		if sr, ok := c.(dist.StatsReporter); ok {
-			st := sr.Stats()
-			total += st.SentBytes + st.RecvBytes
-		}
+		st := c.Stats()
+		total += st.SentBytes + st.RecvBytes
 	}
 	return total, nil
 }
@@ -540,10 +538,8 @@ func runTransportMJPEGFailover(frames int) (wire, replayed int64, err error) {
 	}
 	var total int64
 	for _, c := range conns {
-		if sr, ok := c.(dist.StatsReporter); ok {
-			st := sr.Stats()
-			total += st.SentBytes + st.RecvBytes
-		}
+		st := c.Stats()
+		total += st.SentBytes + st.RecvBytes
 	}
 	return total, res.Replayed, nil
 }

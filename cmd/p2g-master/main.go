@@ -162,11 +162,7 @@ func main() {
 	// counters the broker accumulated while forwarding batched stores.
 	var totalIn, totalOut int64
 	for i, c := range conns {
-		sr, ok := c.(dist.StatsReporter)
-		if !ok {
-			continue
-		}
-		st := sr.Stats()
+		st := c.Stats()
 		totalIn += st.RecvBytes
 		totalOut += st.SentBytes
 		fmt.Printf("link %d: sent %d msgs / %d bytes, received %d msgs / %d bytes\n",

@@ -1,5 +1,6 @@
 // Distributed example: the full figure 1 architecture on one machine. A
-// master node collects the topology from three in-process execution nodes,
+// master node collects the topology from three in-process execution nodes
+// (each linked to it by a loopback TCP pipe, the deployed wire codec),
 // partitions the K-means workload with the high-level scheduler, brokers
 // store/completion events between the nodes, detects global quiescence and
 // gathers per-node instrumentation.
@@ -34,8 +35,12 @@ func main() {
 	masterConns := make([]dist.Conn, *nodes)
 	var wg sync.WaitGroup
 	for i := 0; i < *nodes; i++ {
-		var workerConn dist.Conn
-		masterConns[i], workerConn = dist.InprocPipe()
+		masterConn, workerConn, err := dist.Pipe()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		masterConns[i] = masterConn
 		wg.Add(1)
 		go func(i int, conn dist.Conn) {
 			defer wg.Done()

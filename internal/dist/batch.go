@@ -30,11 +30,8 @@ type genKey struct {
 // broker and downstream consumers rely on.
 //
 // Frames come from the runtime frame pool and are handed to emit together
-// with the routing envelope (whose Frame field is left nil): the transport
-// either writes the frame's segments scatter-gather and recycles it, or
-// flattens it into a fresh slice first — the in-process transport moves *Msg
-// by pointer, so a recycled buffer must never ride inside an in-flight
-// message.
+// with the routing envelope (whose Frame field is left nil): emit writes the
+// frame's segments scatter-gather and then recycles it.
 type storeBatcher struct {
 	mu     sync.Mutex
 	frames map[genKey]*runtime.StoreFrame

@@ -2,15 +2,30 @@ package dist
 
 import (
 	"bytes"
+	"fmt"
 	"net"
 	goruntime "runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/field"
 	"repro/internal/runtime"
 )
 
-// tcpPair returns a connected TCP loopback pair (client, server).
+// pipe returns a Pipe pair (master end, worker end), closed at test end.
+func pipe(t testing.TB) (Conn, Conn) {
+	t.Helper()
+	a, b, err := Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close(); b.Close() })
+	return a, b
+}
+
+// tcpPair returns a connected TCP loopback pair (client, server) made with
+// ListenTCP, DialTCP and Accept.
 func tcpPair(t *testing.T) (Conn, Conn) {
 	t.Helper()
 	l, err := ListenTCP("127.0.0.1:0")
@@ -40,6 +55,124 @@ func tcpPair(t *testing.T) (Conn, Conn) {
 	}
 	t.Cleanup(func() { cli.Close(); srv.Close() })
 	return cli, srv
+}
+
+// TestConnContract holds every Conn the package builds to the same contract:
+// ordered round trips, SendFrame and Send-with-Frame writing identical
+// bytes, a close on either end failing the peer, idle timeouts, and byte
+// counting.
+func TestConnContract(t *testing.T) {
+	wrap := func(w func(Conn) Conn) func(*testing.T) (Conn, Conn) {
+		return func(t *testing.T) (Conn, Conn) {
+			a, b := pipe(t)
+			return w(a), w(b)
+		}
+	}
+	cases := []struct {
+		name string
+		pair func(*testing.T) (Conn, Conn)
+	}{
+		{"Pipe", func(t *testing.T) (Conn, Conn) { return pipe(t) }},
+		{"DialTCP-Accept", tcpPair},
+		{"FaultConn", wrap(func(c Conn) Conn { return NewFaultConn(c, FaultPlan{}) })},
+		{"PushbackConn", wrap(func(c Conn) Conn { return NewPushbackConn(c, nil) })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("round-trip", func(t *testing.T) {
+				a, b := tc.pair(t)
+				for i, ends := range [][2]Conn{{a, b}, {b, a}} {
+					if err := ends[0].Send(&Msg{Kind: MDone, Kernel: "k", Age: i}); err != nil {
+						t.Fatal(err)
+					}
+					m, err := ends[1].Recv()
+					if err != nil || m.Kind != MDone || m.Kernel != "k" || m.Age != i {
+						t.Fatalf("direction %d: got %+v, %v", i, m, err)
+					}
+				}
+			})
+			t.Run("frame-bytes", func(t *testing.T) {
+				a, b := tc.pair(t)
+				f := scatterFrame(t)
+				defer runtime.PutStoreFrame(f)
+				flat := f.AppendTo(nil)
+				// The first message carries gob's type definitions; after
+				// it, equal wire sizes mean Send wrote the frame raw too.
+				if err := a.Send(&Msg{Kind: MPing}); err != nil {
+					t.Fatal(err)
+				}
+				wire := a.Stats().SentBytes
+				if err := a.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 3}, f.Segments()); err != nil {
+					t.Fatal(err)
+				}
+				viaFrame := a.Stats().SentBytes - wire
+				shared := &Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Frame: flat}
+				if err := a.Send(shared); err != nil {
+					t.Fatal(err)
+				}
+				if viaSend := a.Stats().SentBytes - wire - viaFrame; viaSend != viaFrame {
+					t.Errorf("Send wrote %d wire bytes, SendFrame %d", viaSend, viaFrame)
+				}
+				if !bytes.Equal(shared.Frame, flat) || shared.FrameLen != 0 {
+					t.Fatal("Send mutated the shared envelope")
+				}
+				if m, err := b.Recv(); err != nil || m.Kind != MPing {
+					t.Fatalf("warm-up message: %+v, %v", m, err)
+				}
+				for _, via := range []string{"SendFrame", "Send"} {
+					m, err := b.Recv()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Field != "pixels" || m.Age != 3 || m.FrameLen != 0 || !bytes.Equal(m.Frame, flat) {
+						t.Fatalf("%s delivered field %q age %d, %d frame bytes (FrameLen %d), want %d bytes",
+							via, m.Field, m.Age, len(m.Frame), m.FrameLen, len(flat))
+					}
+				}
+			})
+			for _, closer := range []int{0, 1} {
+				t.Run(fmt.Sprintf("close-end-%d", closer), func(t *testing.T) {
+					a, b := tc.pair(t)
+					ends := [2]Conn{a, b}
+					ends[closer].Close()
+					if _, err := ends[1-closer].Recv(); err == nil {
+						t.Error("Recv succeeded after the peer closed")
+					}
+					if err := ends[closer].Send(&Msg{Kind: MPing}); err == nil {
+						t.Error("Send succeeded on a closed end")
+					}
+				})
+			}
+			t.Run("idle-timeout", func(t *testing.T) {
+				_, b := tc.pair(t)
+				b.SetIdleTimeout(20 * time.Millisecond)
+				if _, err := b.Recv(); err == nil || !strings.Contains(err.Error(), "idle timeout") {
+					t.Fatalf("Recv on a silent peer = %v, want an idle timeout", err)
+				}
+			})
+			t.Run("stats", func(t *testing.T) {
+				a, b := tc.pair(t)
+				if err := a.Send(&Msg{Kind: MRegister, NodeID: "n0"}); err != nil {
+					t.Fatal(err)
+				}
+				if err := a.SendFrame(&Msg{Kind: MStoreFrame}, net.Buffers{make([]byte, 1000)}); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 2; i++ {
+					if _, err := b.Recv(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sent, recv := a.Stats(), b.Stats()
+				if sent.SentMsgs != 2 || recv.RecvMsgs != 2 {
+					t.Errorf("messages: sent %d, received %d, want 2 each", sent.SentMsgs, recv.RecvMsgs)
+				}
+				if sent.SentBytes <= 1000 || recv.RecvBytes != sent.SentBytes {
+					t.Errorf("bytes: sent %d, received %d, want equal and over the 1000-byte frame", sent.SentBytes, recv.RecvBytes)
+				}
+			})
+		})
+	}
 }
 
 // scatterFrame builds a store frame whose payload is large enough to be
@@ -76,15 +209,10 @@ func scatterFrame(t *testing.T) *runtime.StoreFrame {
 // sender's shared *Msg unmutated.
 func TestTCPSendFrameRoundTrip(t *testing.T) {
 	cli, srv := tcpPair(t)
-	fc, ok := cli.(FrameConn)
-	if !ok {
-		t.Fatal("TCP connection does not implement FrameConn")
-	}
-
 	f := scatterFrame(t)
 	want := f.AppendTo(nil)
 	m := &Msg{Kind: MStoreFrame, Field: "pixels", Age: 3, Trace: 0xBEEF}
-	if err := fc.SendFrame(m, f.Segments()); err != nil {
+	if err := cli.SendFrame(m, f.Segments()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Frame != nil || m.FrameLen != 0 {
@@ -123,7 +251,6 @@ func TestTCPSendFrameRoundTrip(t *testing.T) {
 // arrive intact and in order.
 func TestTCPSendFrameInterleaved(t *testing.T) {
 	cli, srv := tcpPair(t)
-	fc := cli.(FrameConn)
 
 	f := scatterFrame(t)
 	want := f.AppendTo(nil)
@@ -133,7 +260,7 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := fc.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, f.Segments()); err != nil {
+		if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: i}, f.Segments()); err != nil {
 			t.Fatal(err)
 		}
 		if err := cli.Send(&Msg{Kind: MDone, Field: "pixels", Age: i}); err != nil {
@@ -162,7 +289,7 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 	}
 
 	// Master-forward shape: a received frame goes back out as one raw buffer.
-	if err := fc.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 9}, net.Buffers{want}); err != nil {
+	if err := cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 9}, net.Buffers{want}); err != nil {
 		t.Fatal(err)
 	}
 	m, err := srv.Recv()
@@ -179,7 +306,9 @@ func TestTCPSendFrameInterleaved(t *testing.T) {
 // not the announced length, and Recv must fail once the peer closes.
 func TestTCPRecvLyingFrameLen(t *testing.T) {
 	cli, srv := tcpPair(t)
-	if err := cli.Send(&Msg{Kind: MStoreFrame, Field: "pixels", FrameLen: 1 << 30}); err != nil {
+	// Send derives FrameLen from the payload, so the lying envelope goes
+	// through the codec's raw write.
+	if err := cli.(*tcpConn).write(&Msg{Kind: MStoreFrame, Field: "pixels", FrameLen: 1 << 30}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cli.(*tcpConn).nc.Write([]byte("short")); err != nil {
@@ -207,7 +336,7 @@ func TestTCPRecvMultiChunkFrame(t *testing.T) {
 	for i := range want {
 		want[i] = byte(i * 7)
 	}
-	go cli.(FrameConn).SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 1}, net.Buffers{want})
+	go cli.SendFrame(&Msg{Kind: MStoreFrame, Field: "pixels", Age: 1}, net.Buffers{want})
 	m, err := srv.Recv()
 	if err != nil {
 		t.Fatal(err)

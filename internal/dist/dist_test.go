@@ -23,14 +23,14 @@ func init() {
 	field.RegisterPayload(kmeans.Point{})
 }
 
-// runDistributed executes a program across n in-process workers and returns
-// the master result plus per-worker reports.
+// runDistributed executes a program across n workers in this process, each on
+// a Pipe, and returns the master result plus per-worker reports.
 func runDistributed(t *testing.T, build func() any, n int, wcfg func(i int) WorkerConfig) *MasterResult {
 	t.Helper()
 	masterConns := make([]Conn, n)
 	workerConns := make([]Conn, n)
 	for i := 0; i < n; i++ {
-		masterConns[i], workerConns[i] = InprocPipe()
+		masterConns[i], workerConns[i] = pipe(t)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, n)
@@ -250,24 +250,6 @@ func TestValueGobRoundTrip(t *testing.T) {
 	}
 }
 
-func TestInprocPipeSemantics(t *testing.T) {
-	a, b := InprocPipe()
-	if err := a.Send(&Msg{Kind: MPing}); err != nil {
-		t.Fatal(err)
-	}
-	m, err := b.Recv()
-	if err != nil || m.Kind != MPing {
-		t.Fatal("basic send/recv")
-	}
-	a.Close()
-	if err := b.Send(&Msg{Kind: MPing}); err == nil {
-		t.Error("send to closed peer should fail")
-	}
-	if _, err := b.Recv(); err == nil {
-		t.Error("recv from closed peer should eventually fail")
-	}
-}
-
 func TestMasterValidation(t *testing.T) {
 	if _, err := RunMaster(MasterConfig{Prog: workloads.MulSum()}, nil); err == nil {
 		t.Error("no workers should error")
@@ -275,7 +257,7 @@ func TestMasterValidation(t *testing.T) {
 }
 
 func TestWorkerErrorsPropagate(t *testing.T) {
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	done := make(chan error, 1)
 	go func() {
 		// Worker with neither program nor factory fails at assignment.
@@ -313,7 +295,7 @@ func TestWeightedRepartition(t *testing.T) {
 		var wg sync.WaitGroup
 		for i := 0; i < n; i++ {
 			var wc Conn
-			masterConns[i], wc = InprocPipe()
+			masterConns[i], wc = pipe(t)
 			wg.Add(1)
 			go func(i int, conn Conn) {
 				defer wg.Done()
@@ -385,7 +367,7 @@ func TestDistributedKernelFailure(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -406,84 +388,6 @@ func TestDistributedKernelFailure(t *testing.T) {
 		t.Fatal("cluster hung on kernel failure")
 	}
 	wg.Wait()
-}
-
-// TestSnapshotRequest exercises the MSnapshotReq/MSnapshot protocol pair.
-func TestSnapshotRequest(t *testing.T) {
-	mc, wc := InprocPipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _ = RunWorker(WorkerConfig{NodeID: "w", Cores: 1, Prog: workloads.MulSum(), MaxAge: 2}, wc)
-	}()
-	if m, err := mc.Recv(); err != nil || m.Kind != MRegister {
-		t.Fatalf("register: %v", err)
-	}
-	all := []string{"init", "mul2", "plus5", "print"}
-	if err := mc.Send(&Msg{Kind: MAssign, Kernels: all}); err != nil {
-		t.Fatal(err)
-	}
-	if err := mc.Send(&Msg{Kind: MStart}); err != nil {
-		t.Fatal(err)
-	}
-	// Wait for quiescence the simple way: ping until idle.
-	for {
-		if err := mc.Send(&Msg{Kind: MPing}); err != nil {
-			t.Fatal(err)
-		}
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MStatus && m.Idle && m.Sent > 0 {
-			break
-		}
-	}
-	if err := mc.Send(&Msg{Kind: MSnapshotReq, Field: "m_data", Age: 1}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind != MSnapshot {
-			continue
-		}
-		if m.Field != "m_data" || m.Age != 1 || m.Arr == nil {
-			t.Fatalf("snapshot msg %+v", m)
-		}
-		if !m.Arr.Equal(field.ArrayFromInt32([]int32{25, 27, 29, 31, 33})) {
-			t.Fatalf("snapshot contents %v", m.Arr)
-		}
-		break
-	}
-	// Unknown field produces an MError reply but the worker keeps running.
-	if err := mc.Send(&Msg{Kind: MSnapshotReq, Field: "zzz", Age: 0}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MError {
-			break
-		}
-	}
-	if err := mc.Send(&Msg{Kind: MStopReq}); err != nil {
-		t.Fatal(err)
-	}
-	for {
-		m, err := mc.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if m.Kind == MReport {
-			break
-		}
-	}
-	<-done
 }
 
 // TestDistributedMJPEG runs the full Motion JPEG pipeline across two nodes —

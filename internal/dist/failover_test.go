@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/field"
 	"repro/internal/mjpeg"
+	"repro/internal/obs"
 	"repro/internal/runtime"
 	"repro/internal/sched"
 	"repro/internal/video"
@@ -60,7 +61,7 @@ func TestFailoverSurvivorTakeover(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// w1 dies abruptly at its 12th send: registration plus a stretch
 			// of stores and completions, then the connection severs mid-run.
@@ -111,7 +112,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			wc = NewFaultConn(wc, FaultPlan{SeverSendAt: 12})
 		}
@@ -124,7 +125,7 @@ func TestFailoverStandbyTakeover(t *testing.T) {
 			}, conn)
 		}(i, wc)
 	}
-	sbMaster, sbWorker := InprocPipe()
+	sbMaster, sbWorker := pipe(t)
 	var sbRep *runtime.Report
 	var sbErr error
 	wg.Add(1)
@@ -169,7 +170,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -181,7 +182,7 @@ func TestStandbyReleasedCleanly(t *testing.T) {
 			}
 		}(i, wc)
 	}
-	sbMaster, sbWorker := InprocPipe()
+	sbMaster, sbWorker := pipe(t)
 	released := make(chan struct{})
 	go func() {
 		defer close(released)
@@ -223,7 +224,7 @@ func TestMasterIdleTimeoutNamesWedgedWorker(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// Everything after registration blocks: the half-open case.
 			wedged = NewFaultConn(wc, FaultPlan{WedgeSendAt: 2})
@@ -276,7 +277,7 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		if i == 1 {
 			// Registration goes through; every later send vanishes.
 			wc = NewFaultConn(wc, FaultPlan{DropSendFrom: 2})
@@ -314,6 +315,78 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFailoverTraceCollectionKeepsWorkersAlive (regression): with failover
+// and trace collection on, a worker used to ship its whole span ring as one
+// MTrace after quiescence. Encoding a full ring kept the healthy worker
+// silent past the liveness window, so a correct run ended with it in
+// DeadWorkers and its report lost. Spans now travel in bounded chunks, each
+// one a heartbeat.
+func TestFailoverTraceCollectionKeepsWorkersAlive(t *testing.T) {
+	ref := mulSumReference(t)
+	const n, ring = 2, obs.DefaultTraceCapacity
+	masterConns := make([]Conn, n)
+	workerErrs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		var wc Conn
+		masterConns[i], wc = pipe(t)
+		// A full ring of filler spans, in TS order; the run's own spans
+		// overwrite the oldest of them.
+		tracer := obs.NewTracer(ring)
+		for s := 0; s < ring; s++ {
+			tracer.Record(obs.Span{Name: "filler", Cat: "kernel", Ph: obs.PhaseComplete, TS: int64(s), Dur: 1, Index: []int{s, s}})
+		}
+		wg.Add(1)
+		go func(i int, conn Conn) {
+			defer wg.Done()
+			_, workerErrs[i] = RunWorker(WorkerConfig{
+				NodeID: fmt.Sprintf("w%d", i), Cores: 2,
+				Prog: workloads.MulSum(), MaxAge: 8, Tracer: tracer,
+			}, conn)
+		}(i, wc)
+	}
+	res, err := RunMaster(MasterConfig{
+		Prog: workloads.MulSum(), Method: sched.KL,
+		Failover: true, CollectTraces: true,
+		Heartbeat: 25 * time.Millisecond, MaxMissed: 4,
+	}, masterConns)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("run failed: %v", err)
+	}
+	for i, werr := range workerErrs {
+		if werr != nil {
+			t.Errorf("worker w%d failed: %v", i, werr)
+		}
+	}
+	if len(res.DeadWorkers) != 0 {
+		t.Fatalf("DeadWorkers = %v after a correct run", res.DeadWorkers)
+	}
+	if len(res.Reports) != n {
+		t.Fatalf("got %d reports, want %d", len(res.Reports), n)
+	}
+	if len(res.Traces) != n {
+		t.Fatalf("got %d trace bundles, want one per worker (%d)", len(res.Traces), n)
+	}
+	for _, tr := range res.Traces {
+		if len(tr.Spans) != ring {
+			t.Errorf("%s: received %d spans, want the full ring of %d", tr.Node, len(tr.Spans), ring)
+		}
+		last := int64(-1)
+		for _, sp := range tr.Spans {
+			if sp.Name != "filler" {
+				continue
+			}
+			if sp.TS <= last {
+				t.Errorf("%s: filler span %d after %d: chunks out of order", tr.Node, sp.TS, last)
+				break
+			}
+			last = sp.TS
+		}
+	}
+	assertMulSumShadow(t, res, ref)
+}
+
 // TestLivenessDuringStopPhase (regression): quiescence used to trust a stale
 // heartbeat forever — a worker that died right after its last idle status
 // (and after MStopReq went out) hung report collection with no timeout. The
@@ -321,7 +394,7 @@ func TestLivenessCatchesSilentPartition(t *testing.T) {
 // naming the worker.
 func TestLivenessDuringStopPhase(t *testing.T) {
 	prog := bigStoreProg(t, 4)
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)
@@ -415,7 +488,7 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -449,8 +522,8 @@ func TestMasterFailureBroadcastsStop(t *testing.T) {
 // used to just return, leaving every already-connected worker blocked in its
 // handshake forever. It must broadcast the reason and close.
 func TestMasterAbortReleasesHandshakeWorkers(t *testing.T) {
-	good, goodWorker := InprocPipe()
-	bad, badWorker := InprocPipe()
+	good, goodWorker := pipe(t)
+	bad, badWorker := pipe(t)
 	// The bad "worker" speaks garbage first, failing the master's
 	// registration phase while the good worker sits in its handshake.
 	if err := badWorker.Send(&Msg{Kind: MPing}); err != nil {
@@ -687,8 +760,8 @@ func TestFailoverRecoveryDoesNotCascade(t *testing.T) {
 		return done
 	}
 
-	mc0, wc0 := InprocPipe()
-	mc1, wc1 := InprocPipe()
+	mc0, wc0 := pipe(t)
+	mc1, wc1 := pipe(t)
 	w0 := mkWorker(wc0, "w0")
 	w1 := mkWorker(wc1, "w1")
 	// Liveness window 60ms x 4 = 240ms; replaying 40 generations across a

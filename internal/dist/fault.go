@@ -43,9 +43,8 @@ type FaultPlan struct {
 	Seed int64
 }
 
-// FaultConn wraps a Conn with scheduled faults. It forwards FrameConn,
-// StatsReporter and IdleTimeoutConn when the underlying transport implements
-// them (SendFrame counts as one send against the plan).
+// FaultConn wraps a Conn with scheduled faults. SendFrame counts as one send
+// against the plan; SetIdleTimeout and Stats go to the underlying Conn.
 type FaultConn struct {
 	under Conn
 	plan  FaultPlan
@@ -124,8 +123,7 @@ func (c *FaultConn) Send(m *Msg) error {
 	return c.under.Send(m)
 }
 
-// SendFrame forwards scatter-gather sends when the underlying transport
-// supports them, flattening into a plain Send otherwise.
+// SendFrame applies the send schedule to a scatter-gather send.
 func (c *FaultConn) SendFrame(m *Msg, segs net.Buffers) error {
 	drop, err := c.checkSend()
 	if err != nil {
@@ -134,17 +132,7 @@ func (c *FaultConn) SendFrame(m *Msg, segs net.Buffers) error {
 	if drop {
 		return nil
 	}
-	if fc, ok := c.under.(FrameConn); ok {
-		return fc.SendFrame(m, segs)
-	}
-	env := *m
-	var flat []byte
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	env.Frame = flat
-	env.FrameLen = 0
-	return c.under.Send(&env)
+	return c.under.SendFrame(m, segs)
 }
 
 func (c *FaultConn) Recv() (*Msg, error) {
@@ -165,15 +153,6 @@ func (c *FaultConn) Close() error {
 	return c.under.Close()
 }
 
-// SetIdleTimeout forwards to the underlying transport when supported.
-func (c *FaultConn) SetIdleTimeout(d time.Duration) {
-	SetConnIdleTimeout(c.under, d)
-}
+func (c *FaultConn) SetIdleTimeout(d time.Duration) { c.under.SetIdleTimeout(d) }
 
-// Stats forwards to the underlying transport when supported.
-func (c *FaultConn) Stats() ConnStats {
-	if sr, ok := c.under.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ConnStats{}
-}
+func (c *FaultConn) Stats() ConnStats { return c.under.Stats() }

@@ -2,7 +2,6 @@ package dist
 
 import (
 	"fmt"
-	"net"
 	"time"
 
 	"repro/internal/core"
@@ -66,7 +65,7 @@ type MasterConfig struct {
 	// Failover is on, which defaults it to 3.
 	MaxMissed int
 	// IdleTimeout, when positive, bounds every blocking transport
-	// operation on the worker connections (see IdleTimeoutConn), so a
+	// operation on the worker connections (see Conn.SetIdleTimeout), so a
 	// half-open connection surfaces as a worker-named error instead of
 	// wedging RunMaster forever. It must comfortably exceed the longest
 	// legitimate silence (worker teardown between MStopReq and MReport).
@@ -142,10 +141,10 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	}
 	if cfg.IdleTimeout > 0 {
 		for _, c := range conns {
-			SetConnIdleTimeout(c, cfg.IdleTimeout)
+			c.SetIdleTimeout(cfg.IdleTimeout)
 		}
 		for _, c := range cfg.Standbys {
-			SetConnIdleTimeout(c, cfg.IdleTimeout)
+			c.SetIdleTimeout(cfg.IdleTimeout)
 		}
 	}
 	cfg.View.setLiveness(heartbeat, maxMissed, cfg.Failover, len(cfg.Standbys))
@@ -397,6 +396,7 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 	doneSeen := map[doneRec]bool{}
 	var doneLog []doneRec
 	var traces []obs.NodeTrace
+	traceOf := map[int]int{} // worker index → its entry in traces
 	var deadIDs []string
 	var replayedGens int64
 	stableRounds := 0
@@ -440,17 +440,10 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			if i == from || dead[i] {
 				continue
 			}
-			// Frame payloads skip gob on capable transports: the broker
-			// writes the received bytes raw after a copied envelope, so a
-			// frame is gob-encoded at most zero times on the fan-out path.
-			// SendFrame never mutates m, which all subscribers share.
-			var err error
-			if fc, ok := conns[i].(FrameConn); ok && len(m.Frame) > 0 {
-				err = fc.SendFrame(m, net.Buffers{m.Frame})
-			} else {
-				err = conns[i].Send(m)
-			}
-			if err != nil {
+			// Send writes a frame payload raw after the envelope, so the
+			// broker never gob-encodes frame bytes, and never mutates m,
+			// which all subscribers share.
+			if err := conns[i].Send(m); err != nil {
 				if derr := die(i, err); derr != nil {
 					return derr
 				}
@@ -490,13 +483,7 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 					continue
 				}
 				env := &Msg{Kind: MStoreFrame, Field: fd.Name, Age: age, SentNs: time.Now().UnixNano()}
-				var serr error
-				if fc, ok := conns[t].(FrameConn); ok {
-					serr = fc.SendFrame(env, fr.Segments())
-				} else {
-					env.Frame = fr.AppendTo(nil)
-					serr = conns[t].Send(env)
-				}
+				serr := conns[t].SendFrame(env, fr.Segments())
 				runtime.PutStoreFrame(fr)
 				if serr != nil {
 					return fmt.Errorf("dist: replaying %s(%d) to %s: %w", fd.Name, age, ids[t], serr)
@@ -736,7 +723,10 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			// Liveness runs in every phase — including after the stop was
 			// sent, where a worker dying between its last heartbeat and
 			// its report would otherwise hang report collection forever.
-			if liveTimeout > 0 {
+			// It waits for an empty inbox: when this loop itself stalled
+			// (GC, a large trace append), messages already queued are
+			// heartbeats not yet counted, not silence.
+			if liveTimeout > 0 && len(inboxes) == 0 {
 				for i := range conns {
 					if dead[i] {
 						continue
@@ -898,14 +888,21 @@ func RunMaster(cfg MasterConfig, conns []Conn) (*MasterResult, error) {
 			statusSeen[in.from] = true
 			cfg.View.updateWorker(in.from, m.Idle, m.Sent, m.Received, m.Metrics)
 		case MTrace:
-			traces = append(traces, obs.NodeTrace{
-				Node:        ids[in.from],
-				PID:         in.from + 2, // pid 1 is the master's lane
-				StartUnixNs: m.TraceStartNs,
-				OffsetNs:    offsets[in.from],
-				Dropped:     m.TraceDropped,
-				Spans:       m.Spans,
-			})
+			// A worker ships its span buffer in chunks, oldest first.
+			if k, ok := traceOf[in.from]; ok {
+				traces[k].Spans = append(traces[k].Spans, m.Spans...)
+				traces[k].Dropped = m.TraceDropped
+			} else {
+				traceOf[in.from] = len(traces)
+				traces = append(traces, obs.NodeTrace{
+					Node:        ids[in.from],
+					PID:         in.from + 2, // pid 1 is the master's lane
+					StartUnixNs: m.TraceStartNs,
+					OffsetNs:    offsets[in.from],
+					Dropped:     m.TraceDropped,
+					Spans:       m.Spans,
+				})
+			}
 		case MReport:
 			reports[ids[in.from]] = m.Report
 			cfg.View.workerDone(in.from, m.Report)

@@ -3,7 +3,6 @@ package dist
 import (
 	"strconv"
 
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/runtime"
 )
@@ -22,8 +21,8 @@ const (
 	MStatus                     // worker → master: idle state and event counters
 	MStopReq                    // master → worker: quiesce reached, shut down
 	MReport                     // worker → master: final instrumentation report
-	MSnapshotReq                // master → worker: send a field generation
-	MSnapshot                   // worker → master: field generation contents
+	MSnapshotReq                // retired snapshot request; kept so later kinds keep their wire values
+	MSnapshot                   // retired snapshot reply; kept so later kinds keep their wire values
 	MError                      // either direction: fatal error
 	MStoreFrame                 // worker ↔ master: a batched store-notice frame (forwarded raw)
 	MClockProbe                 // master → worker: clock-offset probe (handshake, Cristian-style)
@@ -103,15 +102,15 @@ type Msg struct {
 	// runtime.StoreFrame. Field and Age mirror the frame header so the
 	// master broker routes by subscription without decoding the payload;
 	// Trace mirrors the frame's causal trace id (0 when tracing is off).
+	Field string
 	Frame []byte
 	Trace uint64
-	// FrameLen carries the frame payload out-of-band: a transport that
-	// supports scatter-gather sends (FrameConn) encodes the envelope with
-	// Frame nil and FrameLen set, then writes the raw frame bytes directly
-	// after it on the stream. Recv materializes the bytes back into Frame
-	// and zeroes FrameLen, so receivers never observe the split form. Gob
-	// omits zero fields, so envelopes without a raw frame are byte-
-	// identical to before.
+	// FrameLen carries the frame payload out-of-band: the stream codec
+	// always encodes the envelope with Frame nil and FrameLen set, then
+	// writes the raw frame bytes directly after it, so frame bytes never
+	// pass through gob. Recv materializes the bytes back into Frame and
+	// zeroes FrameLen, so receivers never observe the split form. Gob
+	// omits zero fields, so envelopes without a frame carry no FrameLen.
 	FrameLen int
 
 	// SentNs is the sender's wall clock (UnixNano) when the message was
@@ -157,10 +156,6 @@ type Msg struct {
 
 	// MReport
 	Report *runtime.Report
-
-	// MSnapshotReq / MSnapshot
-	Field string
-	Arr   *field.Array
 
 	// MError
 	Err string

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"net"
 	goruntime "runtime"
 	"runtime/debug"
 	"strings"
@@ -36,7 +37,7 @@ func TestStartHandshakeError(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			mc, wc := InprocPipe()
+			mc, wc := pipe(t)
 			done := make(chan error, 1)
 			go func() {
 				_, err := RunWorker(WorkerConfig{NodeID: "w", Cores: 1, Prog: workloads.MulSum(), MaxAge: 2}, wc)
@@ -67,9 +68,9 @@ func TestStartHandshakeError(t *testing.T) {
 	}
 }
 
-// failAfterConn passes through to the wrapped Conn but fails every Send after
-// the first n — a half-closed pipe: the worker can still receive (or block
-// receiving) while its sends go nowhere.
+// failAfterConn passes through to the wrapped Conn but fails every Send and
+// SendFrame after the first n — a half-closed pipe: the worker can still
+// receive (or block receiving) while its sends go nowhere.
 type failAfterConn struct {
 	Conn
 	allow atomic.Int64
@@ -82,12 +83,19 @@ func (c *failAfterConn) Send(m *Msg) error {
 	return c.Conn.Send(m)
 }
 
+func (c *failAfterConn) SendFrame(m *Msg, segs net.Buffers) error {
+	if c.allow.Add(-1) < 0 {
+		return errors.New("simulated half-closed pipe")
+	}
+	return c.Conn.SendFrame(m, segs)
+}
+
 // TestWorkerSendFailureTeardown: a worker whose sends fail must tear down
 // promptly even if the master never speaks again. The old loop polled sendErr
 // only before a blocking Recv, so a dead send path went unnoticed until the
 // next ping.
 func TestWorkerSendFailureTeardown(t *testing.T) {
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	fc := &failAfterConn{Conn: wc}
 	fc.allow.Store(1) // registration only; every later send fails
 	done := make(chan error, 1)
@@ -121,7 +129,7 @@ func TestWorkerSendFailureTeardown(t *testing.T) {
 // buffer holds. The old readers blocked forever sending into the full inbox.
 func TestBrokerReadersExit(t *testing.T) {
 	baseline := goroutineCountStable(t)
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)
@@ -253,7 +261,7 @@ func TestWorkerReleasePoolReuse(t *testing.T) {
 	slabBytes := uint64(4 * elems)
 	prog := bigStoreProg(t, elems)
 	runOnce := func() {
-		mc, wc := InprocPipe()
+		mc, wc := pipe(t)
 		done := make(chan error, 1)
 		go func() {
 			_, err := RunWorker(WorkerConfig{NodeID: "w", Cores: 1, Prog: prog}, wc)
@@ -472,7 +480,7 @@ func storeFrameMsg(sn runtime.StoreNotice) *Msg {
 // one would then lose its store silently; the master must instead fail the
 // run naming the kind and the worker, mirroring the worker's own check.
 func TestMasterRejectsUnexpectedKind(t *testing.T) {
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	workerDone := make(chan struct{})
 	go func() {
 		defer close(workerDone)

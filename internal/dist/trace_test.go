@@ -16,11 +16,11 @@ import (
 )
 
 // TestClockOffsetEstimate runs the Cristian-style probe exchange against a
-// fake worker whose clock is skewed by a known amount; over an in-process
+// fake worker whose clock is skewed by a known amount; over a loopback
 // pipe the RTT is microseconds, so the estimate must land near the skew.
 func TestClockOffsetEstimate(t *testing.T) {
 	const skew = 50 * time.Millisecond
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	done := make(chan error, 1)
 	go func() {
 		defer close(done)
@@ -65,7 +65,7 @@ func TestClockOffsetEstimate(t *testing.T) {
 // TestClockOffsetEstimateError covers the failure path: a peer that answers
 // with the wrong kind aborts the sync instead of producing a junk offset.
 func TestClockOffsetEstimateError(t *testing.T) {
-	mc, wc := InprocPipe()
+	mc, wc := pipe(t)
 	go func() {
 		m, _ := wc.Recv()
 		wc.Send(&Msg{Kind: MStatus, SentNs: m.SentNs})

@@ -5,13 +5,14 @@
 // publish-subscribe distribution of store and completion events between
 // nodes.
 //
-// Messages flow over a Transport. Two implementations are provided: an
-// in-process transport (for tests and single-machine experiments) and TCP
-// with gob encoding (for real deployments via cmd/p2g-master and
-// cmd/p2g-worker). The master acts as the pub-sub broker: each worker
-// publishes its store/done events once, and the master forwards them to the
-// nodes whose kernels subscribe to the stored fields, preserving per-origin
-// order.
+// Messages flow over one stream codec: a gob envelope per message, followed
+// by the raw bytes of its store frame when it carries one. Every Conn speaks
+// it — TCP for real deployments (cmd/p2g-master, cmd/p2g-worker) and Pipe, a
+// loopback TCP pair, for tests and single-process runs — so what the tests
+// exercise is what deployments run. The master acts as the pub-sub broker:
+// each worker publishes its store/done events once, and the master forwards
+// them to the nodes whose kernels subscribe to the stored fields, preserving
+// per-origin order.
 package dist
 
 import (
@@ -26,57 +27,50 @@ import (
 	"time"
 )
 
-// Conn is a bidirectional, ordered message channel between two nodes.
+// Conn is a bidirectional, ordered message stream between two nodes.
 type Conn interface {
-	Send(*Msg) error
+	// Send writes one message. A non-empty m.Frame goes raw after the
+	// envelope, exactly as SendFrame would write it; m is never mutated,
+	// so the broker can share one envelope across subscribers.
+	Send(m *Msg) error
+	// SendFrame writes m with segs as its frame payload, scatter-gather
+	// style: the envelope announces the length (FrameLen) and the segments
+	// follow raw (writev), so slab bytes reach the socket without an
+	// intermediate contiguous copy. It must not mutate m and must not
+	// retain segs past the call.
+	SendFrame(m *Msg, segs net.Buffers) error
+	// Recv returns the next message with its frame bytes in Frame.
 	Recv() (*Msg, error)
+	// SetIdleTimeout bounds every later Recv and Send: with d > 0 an
+	// operation that sees no progress for d fails with an error containing
+	// "idle timeout" instead of blocking forever. This is the failure-
+	// detection primitive: a half-open TCP connection (peer machine gone,
+	// no RST ever arrives) otherwise wedges a blocking read indefinitely.
+	// Zero clears the bound.
+	SetIdleTimeout(d time.Duration)
+	// Stats returns the connection's cumulative traffic counters.
+	Stats() ConnStats
 	Close() error
 }
 
-// IdleTimeoutConn is implemented by transports whose operations can be
-// deadline-bounded. With a non-zero timeout, a Recv that sees no message for
-// the duration — and, on TCP, a Send that cannot make progress — fails with
-// an error containing "idle timeout" instead of blocking forever. This is the
-// failure-detection primitive: a half-open TCP connection (peer machine gone,
-// no RST ever arrives) otherwise wedges a blocking read indefinitely.
-type IdleTimeoutConn interface {
-	Conn
-	SetIdleTimeout(d time.Duration)
-}
+// FrameConn, IdleTimeoutConn and StatsReporter are aliases of Conn, which
+// has every one of those methods; the benchmark harness still names them.
+type (
+	FrameConn       = Conn
+	IdleTimeoutConn = Conn
+	StatsReporter   = Conn
+)
 
-// SetConnIdleTimeout applies an idle timeout when the transport supports one;
-// it is a no-op otherwise, so callers need not type-switch.
-func SetConnIdleTimeout(c Conn, d time.Duration) {
-	if ic, ok := c.(IdleTimeoutConn); ok {
-		ic.SetIdleTimeout(d)
-	}
-}
-
-// FrameConn is implemented by transports that can send a store-frame payload
-// scatter-gather style: the envelope is encoded with Frame nil and FrameLen
-// set, then the segment vector is written raw (writev) after it, so slab
-// bytes reach the socket without an intermediate contiguous copy. SendFrame
-// must not mutate m — the broker shares one envelope across subscribers —
-// and must not retain segs past the call.
-type FrameConn interface {
-	Conn
-	SendFrame(m *Msg, segs net.Buffers) error
-}
+// SetConnIdleTimeout is c.SetIdleTimeout(d), kept for the benchmark harness.
+func SetConnIdleTimeout(c Conn, d time.Duration) { c.SetIdleTimeout(d) }
 
 // ConnStats holds cumulative transport counters for one connection end.
-// Byte counts cover the encoded wire form; the in-process transport moves
-// pointers, so its byte counts stay zero.
+// Byte counts cover the encoded wire form: envelopes plus raw frame bytes.
 type ConnStats struct {
 	SentMsgs  int64
 	RecvMsgs  int64
 	SentBytes int64
 	RecvBytes int64
-}
-
-// StatsReporter is implemented by transports that count their traffic; the
-// worker and master fold these counters into metrics and reports.
-type StatsReporter interface {
-	Stats() ConnStats
 }
 
 // connStats tracks a connection's traffic with atomics (Send and Recv run
@@ -101,103 +95,47 @@ type Listener interface {
 	Addr() string
 }
 
-// ---- in-process transport ----
-
-type inprocConn struct {
-	out  chan<- *Msg
-	in   <-chan *Msg
-	once sync.Once
-	done chan struct{}
-	peer *inprocConn
-	idle atomic.Int64 // idle timeout in nanoseconds; 0 = none
-	connStats
-}
-
-// SetIdleTimeout implements IdleTimeoutConn: Recv fails after d of silence.
-func (c *inprocConn) SetIdleTimeout(d time.Duration) { c.idle.Store(int64(d)) }
-
-// InprocPipe returns a connected pair of in-process connections.
-func InprocPipe() (Conn, Conn) {
-	ab := make(chan *Msg, 1024)
-	ba := make(chan *Msg, 1024)
-	a := &inprocConn{out: ab, in: ba, done: make(chan struct{})}
-	b := &inprocConn{out: ba, in: ab, done: make(chan struct{})}
-	a.peer, b.peer = b, a
-	return a, b
-}
-
-func (c *inprocConn) Send(m *Msg) error {
-	// Check closure first: the buffered data channel may still have room,
-	// and select would otherwise pick it nondeterministically.
-	select {
-	case <-c.done:
-		return fmt.Errorf("dist: send on closed connection")
-	case <-c.peer.done:
-		return fmt.Errorf("dist: peer closed")
-	default:
+// Pipe returns the two ends of one loopback TCP connection, for running a
+// master and its workers in one process over the deployed codec.
+func Pipe() (Conn, Conn, error) {
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: pipe: %w", err)
 	}
-	select {
-	case <-c.done:
-		return fmt.Errorf("dist: send on closed connection")
-	case <-c.peer.done:
-		return fmt.Errorf("dist: peer closed")
-	case c.out <- m:
-		c.sentMsgs.Add(1)
-		return nil
+	defer l.Close()
+	// The kernel completes the handshake from the listen backlog, so the
+	// dial returns before Accept runs.
+	a, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		return nil, nil, fmt.Errorf("dist: pipe: %w", err)
 	}
+	b, err := l.Accept()
+	if err != nil {
+		a.Close()
+		return nil, nil, fmt.Errorf("dist: pipe: %w", err)
+	}
+	return newTCPConn(a), newTCPConn(b), nil
 }
 
-func (c *inprocConn) Recv() (*Msg, error) {
-	var timeout <-chan time.Time
-	if d := c.idle.Load(); d > 0 {
-		t := time.NewTimer(time.Duration(d))
-		defer t.Stop()
-		timeout = t.C
-	}
-	select {
-	case m := <-c.in:
-		c.recvMsgs.Add(1)
-		return m, nil
-	case <-c.done:
-		return nil, fmt.Errorf("dist: connection closed")
-	case <-timeout:
-		return nil, fmt.Errorf("dist: idle timeout after %v", time.Duration(c.idle.Load()))
-	case <-c.peer.done:
-		// Drain anything already queued before reporting closure.
-		select {
-		case m := <-c.in:
-			c.recvMsgs.Add(1)
-			return m, nil
-		default:
-			return nil, fmt.Errorf("dist: peer closed")
-		}
-	}
-}
-
-func (c *inprocConn) Close() error {
-	c.once.Do(func() { close(c.done) })
-	return nil
-}
-
-// ---- TCP transport ----
+// ---- TCP stream codec ----
 
 type tcpConn struct {
 	nc  net.Conn
 	enc *gob.Encoder
 	dec *gob.Decoder
-	// br feeds the decoder and the raw frame reads after SendFrame-split
-	// envelopes. gob uses it as an io.ByteReader and so never reads ahead
-	// past a message boundary, leaving the raw frame bytes for Recv.
+	// br feeds the decoder and the raw frame reads after envelopes that
+	// announce a FrameLen. gob uses it as an io.ByteReader and so never
+	// reads ahead past a message boundary, leaving the raw frame bytes for
+	// Recv.
 	br   *bufio.Reader
 	mu   sync.Mutex
 	idle atomic.Int64 // idle timeout in nanoseconds; 0 = none
 	connStats
 }
 
-// SetIdleTimeout implements IdleTimeoutConn: every subsequent Recv arms a
-// read deadline and every Send a write deadline, so a half-open peer surfaces
-// as an error instead of a forever-blocked syscall. Zero clears any armed
-// deadline.
+// SetIdleTimeout makes every subsequent Recv arm a read deadline and every
+// Send a write deadline, so a half-open peer surfaces as an error instead of
+// a forever-blocked syscall. Zero clears any armed deadline.
 func (c *tcpConn) SetIdleTimeout(d time.Duration) {
 	c.idle.Store(int64(d))
 	if d == 0 {
@@ -255,43 +193,45 @@ func newTCPConn(nc net.Conn) Conn {
 	return c
 }
 
+// Send writes m; a non-empty m.Frame travels raw after the envelope (see
+// SendFrame), so frame bytes never pass through gob.
 func (c *tcpConn) Send(m *Msg) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d := c.idle.Load(); d > 0 {
-		c.nc.SetWriteDeadline(time.Now().Add(time.Duration(d)))
+	if len(m.Frame) == 0 {
+		return c.write(m, nil)
 	}
-	if err := c.enc.Encode(m); err != nil {
-		return c.idleErr("send", err)
-	}
-	c.sentMsgs.Add(1)
-	return nil
+	return c.SendFrame(m, net.Buffers{m.Frame})
 }
 
-// SendFrame implements FrameConn: the envelope goes through gob with
-// FrameLen announcing the payload, then the segments hit the socket raw via
+// SendFrame encodes a copy of the envelope with Frame nil and FrameLen
+// announcing the payload, then hands the segments to the socket raw via
 // net.Buffers (writev on platforms that support it) — no contiguous copy of
 // the frame is ever built on the send side.
 func (c *tcpConn) SendFrame(m *Msg, segs net.Buffers) error {
-	total := 0
-	for _, s := range segs {
-		total += len(s)
-	}
 	env := *m // the caller may share m across subscribers; never mutate it
 	env.Frame = nil
-	env.FrameLen = total
+	env.FrameLen = 0
+	for _, s := range segs {
+		env.FrameLen += len(s)
+	}
+	return c.write(&env, segs)
+}
+
+// write sends one envelope and its env.FrameLen raw frame bytes from segs.
+func (c *tcpConn) write(env *Msg, segs net.Buffers) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if d := c.idle.Load(); d > 0 {
 		c.nc.SetWriteDeadline(time.Now().Add(time.Duration(d)))
 	}
-	if err := c.enc.Encode(&env); err != nil {
+	if err := c.enc.Encode(env); err != nil {
 		return c.idleErr("send", err)
 	}
-	n, err := segs.WriteTo(c.nc)
-	c.sentBytes.Add(n)
-	if err != nil {
-		return c.idleErr("send", err)
+	if env.FrameLen > 0 {
+		n, err := segs.WriteTo(c.nc)
+		c.sentBytes.Add(n)
+		if err != nil {
+			return c.idleErr("send", err)
+		}
 	}
 	c.sentMsgs.Add(1)
 	return nil
@@ -355,34 +295,17 @@ func (c *tcpConn) Close() error { return c.nc.Close() }
 // pushbackConn replays one already-received message before delegating to the
 // underlying connection. The master CLI uses it to classify inbound workers
 // (MRegister vs MJoin) at accept time without consuming the registration that
-// RunMaster expects to read itself. All optional transport capabilities
-// (FrameConn, StatsReporter, IdleTimeoutConn) forward, so wrapping costs the
-// connection nothing.
+// RunMaster expects to read itself. Everything but Recv is the underlying
+// connection's own method, so wrapping costs the connection nothing.
 type pushbackConn struct {
-	under Conn
+	Conn
 	mu    sync.Mutex
 	first *Msg
 }
 
 // NewPushbackConn wraps c so its next Recv returns first.
 func NewPushbackConn(c Conn, first *Msg) Conn {
-	return &pushbackConn{under: c, first: first}
-}
-
-func (c *pushbackConn) Send(m *Msg) error { return c.under.Send(m) }
-
-func (c *pushbackConn) SendFrame(m *Msg, segs net.Buffers) error {
-	if fc, ok := c.under.(FrameConn); ok {
-		return fc.SendFrame(m, segs)
-	}
-	env := *m
-	var flat []byte
-	for _, s := range segs {
-		flat = append(flat, s...)
-	}
-	env.Frame = flat
-	env.FrameLen = 0
-	return c.under.Send(&env)
+	return &pushbackConn{Conn: c, first: first}
 }
 
 func (c *pushbackConn) Recv() (*Msg, error) {
@@ -393,20 +316,7 @@ func (c *pushbackConn) Recv() (*Msg, error) {
 		return m, nil
 	}
 	c.mu.Unlock()
-	return c.under.Recv()
-}
-
-func (c *pushbackConn) Close() error { return c.under.Close() }
-
-// SetIdleTimeout forwards to the underlying transport when supported.
-func (c *pushbackConn) SetIdleTimeout(d time.Duration) { SetConnIdleTimeout(c.under, d) }
-
-// Stats forwards to the underlying transport when supported.
-func (c *pushbackConn) Stats() ConnStats {
-	if sr, ok := c.under.(StatsReporter); ok {
-		return sr.Stats()
-	}
-	return ConnStats{}
+	return c.Conn.Recv()
 }
 
 type tcpListener struct{ l net.Listener }

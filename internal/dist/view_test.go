@@ -24,7 +24,7 @@ func TestClusterViewLifecycle(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		var wc Conn
-		masterConns[i], wc = InprocPipe()
+		masterConns[i], wc = pipe(t)
 		wg.Add(1)
 		go func(i int, conn Conn) {
 			defer wg.Done()
@@ -136,14 +136,15 @@ func TestKernelStatsFromSnapshot(t *testing.T) {
 }
 
 // TestWorkerReportCarriesTransport checks the final worker reports include
-// the connection's message counters (bytes stay zero in-process).
+// the connection's message and byte counters.
 func TestWorkerReportCarriesTransport(t *testing.T) {
 	res := runDistributed(t, nil, 2, func(i int) WorkerConfig {
 		return WorkerConfig{NodeID: fmt.Sprintf("w%d", i), Cores: 1, Prog: workloads.MulSum(), MaxAge: 4}
 	})
 	for id, rep := range res.Reports {
-		if rep.SentMsgs == 0 || rep.RecvMsgs == 0 {
-			t.Errorf("worker %s report transport: %d sent / %d recv msgs", id, rep.SentMsgs, rep.RecvMsgs)
+		if rep.SentMsgs == 0 || rep.RecvMsgs == 0 || rep.SentBytes == 0 || rep.RecvBytes == 0 {
+			t.Errorf("worker %s report transport: %d/%d sent, %d/%d recv msgs/bytes",
+				id, rep.SentMsgs, rep.SentBytes, rep.RecvMsgs, rep.RecvBytes)
 		}
 	}
 	merged := runtime.MergeReports(res.Reports["w0"], res.Reports["w1"])

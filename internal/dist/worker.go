@@ -59,6 +59,12 @@ type WorkerConfig struct {
 	Tracer *obs.Tracer
 }
 
+// traceChunk is the most spans one MTrace carries. A chunk encodes in a
+// small fraction of any liveness window, whereas a full ring (64K spans) in
+// one message can keep a healthy worker silent long enough to be declared
+// dead.
+const traceChunk = 256
+
 // handshakeErr formats the failure of a blocking handshake receive: a
 // transport error, an MError carrying the master's reason, or an unexpected
 // message kind.
@@ -152,20 +158,11 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 			}
 		}
 	}
-	// sendFrame routes a batched store frame: scatter-gather on transports
-	// that support it (slab bytes go straight to the socket), flattened into
-	// a fresh slice otherwise (the in-process transport moves *Msg by
-	// pointer, so a pooled buffer must not ride inside it). Either way the
-	// frame is recycled afterwards.
+	// sendFrame sends a batched store frame scatter-gather (slab bytes go
+	// straight to the socket), then recycles the frame.
 	sendFrame := func(m *Msg, f *runtime.StoreFrame) {
 		m.SentNs = time.Now().UnixNano()
-		var err error
-		if fc, ok := conn.(FrameConn); ok {
-			err = fc.SendFrame(m, f.Segments())
-		} else {
-			m.Frame = f.AppendTo(nil)
-			err = conn.Send(m)
-		}
+		err := conn.SendFrame(m, f.Segments())
 		runtime.PutStoreFrame(f)
 		if err != nil {
 			select {
@@ -183,14 +180,11 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 	// registry (as gauges: each sample replaces the last) right before a
 	// snapshot or report, so heartbeats carry current transport totals.
 	updateTransport := func() ConnStats {
-		var st ConnStats
-		if sr, ok := conn.(StatsReporter); ok {
-			st = sr.Stats()
-			reg.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
-			reg.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
-			reg.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
-			reg.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
-		}
+		st := conn.Stats()
+		reg.Gauge(obs.MTransportSentMsgs).Set(st.SentMsgs)
+		reg.Gauge(obs.MTransportRecvMsgs).Set(st.RecvMsgs)
+		reg.Gauge(obs.MTransportSentBytes).Set(st.SentBytes)
+		reg.Gauge(obs.MTransportRecvBytes).Set(st.RecvBytes)
 		return st
 	}
 
@@ -296,7 +290,7 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 	// master-equivalent local time is local − offset.
 	clockOffset, synced := start.OffsetNs, start.Synced
 	if cfg.IdleTimeout > 0 {
-		SetConnIdleTimeout(conn, cfg.IdleTimeout)
+		conn.SetIdleTimeout(cfg.IdleTimeout)
 	}
 
 	startRun()
@@ -484,22 +478,26 @@ func RunWorker(cfg WorkerConfig, conn Conn) (*runtime.Report, error) {
 			updateTransport()
 			send(&Msg{Kind: MStatus, Idle: node.Idle(), Sent: sent.Load(), Received: received.Load(), Metrics: reg.Snapshot()})
 		case MTraceReq:
-			// Ship the span buffer with its alignment anchor; an untraced
-			// node replies with an empty bundle so the master's collection
-			// logic needs no special case.
-			send(&Msg{
-				Kind:         MTrace,
-				Spans:        cfg.Tracer.Spans(),
-				TraceStartNs: cfg.Tracer.StartUnixNs(),
-				TraceDropped: cfg.Tracer.Dropped(),
-			})
-		case MSnapshotReq:
-			arr, err := node.Snapshot(m.Field, m.Age)
-			if err != nil {
-				send(&Msg{Kind: MError, Err: err.Error()})
-				continue
+			// Ship the span buffer in chunks, oldest first, each with the
+			// alignment anchor: the master hears from this node after every
+			// chunk, so no single encode of a full ring outlasts its
+			// liveness window. The last chunk is the first short one; an
+			// untraced node sends just that (empty), so the master's
+			// collection logic needs no special case.
+			var seq uint64
+			for {
+				spans, next := cfg.Tracer.SpansFrom(seq, traceChunk)
+				send(&Msg{
+					Kind:         MTrace,
+					Spans:        spans,
+					TraceStartNs: cfg.Tracer.StartUnixNs(),
+					TraceDropped: cfg.Tracer.Dropped(),
+				})
+				if len(spans) < traceChunk {
+					break
+				}
+				seq = next
 			}
-			send(&Msg{Kind: MSnapshot, Field: m.Field, Age: m.Age, Arr: arr})
 		case MStopReq:
 			return stopAndReport()
 		default:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
+	"math"
 	"strconv"
 	"sync"
 	"time"
@@ -153,20 +154,31 @@ func (t *Tracer) Record(s Span) {
 
 // Spans returns the retained spans, oldest first.
 func (t *Tracer) Spans() []Span {
+	spans, _ := t.SpansFrom(0, math.MaxInt)
+	return spans
+}
+
+// SpansFrom returns up to limit retained spans, oldest first, starting at
+// sequence number seq (the number of spans recorded before it; spans
+// evicted before the call are skipped), and the sequence number after the
+// last span returned. Walking the ring with it copies one bounded chunk at
+// a time.
+func (t *Tracer) SpansFrom(seq uint64, limit int) ([]Span, uint64) {
 	if t == nil {
-		return nil
+		return nil, seq
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Span, len(t.buf))
-	if len(t.buf) < cap(t.buf) {
-		copy(out, t.buf)
-		return out
+	seq = max(seq, t.next-uint64(len(t.buf)))
+	n := 0
+	if seq < t.next {
+		n = int(min(uint64(limit), t.next-seq))
 	}
-	head := int(t.next % uint64(cap(t.buf))) // oldest retained span
-	n := copy(out, t.buf[head:])
-	copy(out[n:], t.buf[:head])
-	return out
+	out := make([]Span, n)
+	i := int(seq % uint64(cap(t.buf)))
+	k := copy(out, t.buf[i:min(len(t.buf), i+n)])
+	copy(out[k:], t.buf[:n-k])
+	return out, seq + uint64(n)
 }
 
 // Dropped returns how many spans were evicted from the ring.

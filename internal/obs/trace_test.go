@@ -29,6 +29,50 @@ func TestTracerWraparound(t *testing.T) {
 	}
 }
 
+// TestTracerSpansFrom walks partly filled and wrapped rings in chunks: the
+// chunks concatenate to Spans(), and a cursor behind the ring skips the
+// evicted spans.
+func TestTracerSpansFrom(t *testing.T) {
+	for _, recorded := range []int{0, 5, 8, 13, 20} {
+		tr := NewTracer(8)
+		for i := 0; i < recorded; i++ {
+			tr.Record(Span{Name: fmt.Sprintf("s%d", i), TS: int64(i)})
+		}
+		for _, chunk := range []int{1, 3, 8, 100} {
+			var got []Span
+			var seq uint64
+			for {
+				spans, next := tr.SpansFrom(seq, chunk)
+				got = append(got, spans...)
+				if len(spans) < chunk {
+					break
+				}
+				seq = next
+			}
+			want := tr.Spans()
+			if len(got) != len(want) {
+				t.Fatalf("recorded %d, chunk %d: walked %d spans, want %d", recorded, chunk, len(got), len(want))
+			}
+			for i := range want {
+				if got[i].Name != want[i].Name {
+					t.Fatalf("recorded %d, chunk %d: span[%d] = %q, want %q", recorded, chunk, i, got[i].Name, want[i].Name)
+				}
+			}
+		}
+	}
+	tr := NewTracer(4)
+	for i := 0; i < 10; i++ {
+		tr.Record(Span{Name: fmt.Sprintf("s%d", i)})
+	}
+	spans, next := tr.SpansFrom(2, 2) // s2..s5 were evicted
+	if len(spans) != 2 || spans[0].Name != "s6" || spans[1].Name != "s7" || next != 8 {
+		t.Fatalf("stale cursor: got %v next %d, want s6 s7 next 8", spans, next)
+	}
+	if spans, next := tr.SpansFrom(12, 4); len(spans) != 0 || next != 12 {
+		t.Fatalf("cursor past the end: got %d spans, next %d", len(spans), next)
+	}
+}
+
 func TestTracerDroppedCounter(t *testing.T) {
 	tr := NewTracer(2)
 	var c Counter

@@ -48,11 +48,6 @@ type Options struct {
 	Output io.Writer
 	// Clock drives deadline timers; nil selects the real clock.
 	Clock deadline.Clock
-	// EventBuffer sizes the analyzer's event channels (in event batches,
-	// split evenly across the shards; workers flush store/done events in
-	// batches of up to 64, so the default of 1024 batches buffers ~65k
-	// events). Zero selects 1024.
-	EventBuffer int
 	// AnalyzerShards is the dependency analyzer's shard count: its state is
 	// sharded by (kernel, age) across this many goroutines, each with its
 	// own event channel. One shard is the paper's single analyzer thread.
@@ -121,9 +116,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAge <= 0 {
 		o.MaxAge = math.MaxInt
-	}
-	if o.EventBuffer <= 0 {
-		o.EventBuffer = 1024
 	}
 	if o.AnalyzerShards <= 0 {
 		o.AnalyzerShards = goruntime.GOMAXPROCS(0) / 2

@@ -140,6 +140,11 @@ func (s *anShard) scratch(k int) []int {
 	return s.idxBuf[:k]
 }
 
+// eventBuffer is the analyzer's event-channel capacity in event batches,
+// split evenly across the shards. Workers flush store/done events in batches
+// of up to eventFlushThreshold (64), so 1024 batches buffer ~65k events.
+const eventBuffer = 1024
+
 func newShardedAnalyzer(n *Node, shards int) *shardedAnalyzer {
 	if shards < 1 {
 		shards = 1
@@ -150,7 +155,7 @@ func newShardedAnalyzer(n *Node, shards int) *shardedAnalyzer {
 		allMask:       uint64(1)<<uint(shards) - 1,
 		injectEnsured: make(map[fieldGen]struct{}),
 	}
-	buf := n.opts.EventBuffer / shards
+	buf := eventBuffer / shards
 	if buf < eventFlushThreshold {
 		buf = eventFlushThreshold
 	}
